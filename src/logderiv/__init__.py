@@ -11,6 +11,7 @@ brute-force jet oracle.  All arithmetic is exact over the rationals.
 from logderiv.divisors import (
     DerivationModule,
     DivisorGerm,
+    NotABasisError,
     Verdict,
     apply_derivation,
     apply_derivs,
@@ -19,9 +20,8 @@ from logderiv.divisors import (
     saito_matrix,
 )
 from logderiv.ideals import IdealData
-from logderiv.kernels import BACKEND
 from logderiv.orders import GLOBAL, LOCAL
-from logderiv.poly import Polynomial, PolyMatrix, Ring, jacobian_gens
+from logderiv.poly import CertificationError, Polynomial, PolyMatrix, Ring, jacobian_gens
 from logderiv.quotients import (
     CosetIdeal,
     NotArtinError,
@@ -39,7 +39,7 @@ from logderiv.sampling import GammaSpace, SampleConfig, locus_compare, theorem_a
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
+    "CertificationError",
     "CosetIdeal",
     "DerivationModule",
     "DivisorGerm",
@@ -47,6 +47,7 @@ __all__ = [
     "GammaSpace",
     "IdealData",
     "LOCAL",
+    "NotABasisError",
     "NotArtinError",
     "PolyMatrix",
     "Polynomial",

@@ -21,6 +21,7 @@ from logderiv import ideals
 from logderiv.divisors import (
     DerivationModule,
     DivisorGerm,
+    NotABasisError,
     Verdict,
     derlog,
     min_generators_derivs,
@@ -155,7 +156,10 @@ def run(command, pf, args):
     if command == "free":
         D = _divisor(pf, command)
         theta, _ = _derivations(pf, D)
-        v = saito_free_check(D, theta)
+        try:
+            v = saito_free_check(D, theta)
+        except NotABasisError as e:
+            raise PreconditionFailure(str(e), e.certificate) from None
         cert = dict(v.certificate)
         cert.pop("saito", None)
         return v.ok, cert, v.diagnostics

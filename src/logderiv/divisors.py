@@ -14,7 +14,18 @@ from dataclasses import dataclass, field
 from logderiv import ideals
 from logderiv.ideals import IdealData
 from logderiv.orders import GLOBAL, LOCAL
-from logderiv.poly import Polynomial, PolyMatrix, exact_div, jacobian_gens
+from logderiv.poly import CertificationError, Polynomial, PolyMatrix, exact_div, jacobian_gens
+
+
+class NotABasisError(ValueError):
+    """An explicit theta whose minimal generators are not a Saito basis.
+
+    Such a theta is not all of Der(-log D), so it decides nothing about D.
+    """
+
+    def __init__(self, message, certificate):
+        super().__init__(message)
+        self.certificate = certificate
 
 
 @dataclass
@@ -158,7 +169,7 @@ def apply_derivs(theta, gamma):
 
 
 def min_generators_derivs(theta, order=LOCAL):
-    count, kept = ideals.min_generators(theta.gens, theta.divisor.ring, theta.divisor.ring.n, order)
+    count, kept = ideals.min_generators(theta.gens, theta.divisor.ring.n, order)
     return count, kept
 
 
@@ -168,6 +179,11 @@ def saito_free_check(D, theta):
     Nakayama count first: the localized module of logarithmic derivations is
     free iff it needs exactly n generators.  On success the minimal set's
     Saito determinant is certified to be a unit times f by exact division.
+
+    For the computed Der(-log D), fewer than n generators or a non-unit
+    cofactor raise CertificationError.  For an explicit theta, a minimal count
+    other than n or a non-unit cofactor raise NotABasisError: that theta is
+    not all of Der(-log D).
     """
     red = reducedness_check(D)
     if not red.ok:
@@ -179,18 +195,34 @@ def saito_free_check(D, theta):
     ring = D.ring
     n = ring.n
     count, kept = min_generators_derivs(theta)
-    if count > n:
+    if count != n:
+        if not theta.is_full_derlog:
+            raise NotABasisError(
+                f"theta is not a basis of Der(-log D): {count} minimal generators, not {n}",
+                {"min_generators": count},
+            )
+        if count < n:
+            raise CertificationError(f"Der(-log D) with {count} < {n} generators")
         return Verdict(
             False,
             certificate={"min_generators": count},
             diagnostics=[f"Der(-log D) needs {count} > {n} generators: not free"],
         )
-    assert count == n, f"derivation module with {count} < {n} generators"
     M = saito_matrix(kept, ring)
     det = M.det()
     u = exact_div(det, D.f)
-    assert u is not None, "Saito determinant of a minimal basis must be divisible by f"
-    assert u.constant_term() != 0, "cofactor must be a local unit for a free divisor"
+    if u is None:
+        raise CertificationError(
+            "Saito determinant of tangent derivations must be divisible by f"
+        )
+    if u.constant_term() == 0:
+        if not theta.is_full_derlog:
+            raise NotABasisError(
+                f"theta is not a basis of Der(-log D): det(saito matrix) = ({u}) * f"
+                " with a non-unit cofactor",
+                {"determinant": det, "cofactor": u},
+            )
+        raise CertificationError("cofactor must be a local unit for a free divisor")
     data = SaitoData(derivations=kept, matrix=M, determinant=det, cofactor=u)
     return Verdict(
         True,

@@ -127,7 +127,7 @@ def _pair_key(a, b, i, j):
     return (sum(lcm), lcm, i, j)
 
 
-def std(vectors, order, is_ideal=False, interreduce=True):
+def std(vectors, order, is_ideal=False):
     """Complete a generating set to a standard basis.
 
     For global orders this is Buchberger's algorithm yielding (after
@@ -168,16 +168,10 @@ def std(vectors, order, is_ideal=False, interreduce=True):
         G.append(Entry(h, order))
         k = len(G) - 1
         for i2 in range(k):
-            if G[i2].lm[0] == h_comp(G[k]):
+            if G[i2].lm[0] == G[k].lm[0]:
                 heapq.heappush(pairs, _pair_key(G[i2], G[k], i2, k))
 
-    if interreduce:
-        G = _interreduce(G, order)
-    return G
-
-
-def h_comp(entry):
-    return entry.lm[0]
+    return _interreduce(G, order)
 
 
 def _interreduce(G, order):

@@ -8,12 +8,9 @@ dimension all take the order as an argument and mean the corresponding ring.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from logderiv import engine
-from logderiv.engine import Entry
-from logderiv.orders import GLOBAL, LOCAL, GermElimOrder, ModuleOrder, TermOrder
-from logderiv.poly import Polynomial, RingMismatchError
+from logderiv.orders import GLOBAL, LOCAL, GermElimOrder, ModuleOrder
+from logderiv.poly import CertificationError, Polynomial, RingMismatchError
 
 
 class ZeroIdealQuotientError(ValueError):
@@ -70,18 +67,8 @@ class IdealData:
             )
         return self._bases[order.kind]
 
-    def std_basis(self, order):
-        """Standard basis as monic polynomials."""
-        return [vec_to_poly(e.terms, self.ring) for e in self.basis_entries(order)]
-
     def is_zero(self):
         return not self.gens
-
-
-def std_basis(I, order):
-    """Fill (and return) the cached standard basis of I for the given order."""
-    I.basis_entries(order)
-    return I
 
 
 def normal_form(p, I, order):
@@ -109,7 +96,10 @@ def ideal_membership(p, I, order):
         return True
     if not I.gens:
         return False
-    return engine.is_member(poly_to_vec(p), I.basis_entries(order), ModuleOrder(order))
+    basis = I.basis_entries(order)
+    if engine.contains_unit(engine.leading_exponents(basis)):
+        return True
+    return engine.is_member(poly_to_vec(p), basis, ModuleOrder(order))
 
 
 def ideal_contains(I, J, order):
@@ -120,7 +110,7 @@ def ideal_equal(I, J, order):
     return ideal_contains(I, J, order) and ideal_contains(J, I, order)
 
 
-def syzygies(polys_or_vectors, order=GLOBAL, ncomp=None):
+def syzygies(polys_or_vectors, order=GLOBAL):
     """Generating set of the syzygy module of the given elements.
 
     Accepts either a list of polynomials (syzygies of ideal generators) or a
@@ -209,7 +199,7 @@ def ideal_quotient(I, J, order):
     return result
 
 
-def min_generators(vectors, ring, ncomp, order=LOCAL):
+def min_generators(vectors, ncomp, order=LOCAL):
     """Minimal generating set of a localized module by Nakayama/greedy removal.
 
     A generator is redundant iff it lies in the localized module spanned by
@@ -233,7 +223,7 @@ def min_generators(vectors, ring, ncomp, order=LOCAL):
 
 
 def min_generators_ideal(I, order=LOCAL):
-    count, kept = min_generators([[g] for g in I.gens], I.ring, 1, order)
+    count, kept = min_generators([[g] for g in I.gens], 1, order)
     return count, [v[0] for v in kept]
 
 
@@ -303,7 +293,8 @@ class LocalArtinReducer:
         self.rowbasis = _build_rowbasis(basis, self.cutoff, I.ring.n, key)
         pivots = set(self.rowbasis.pivots)
         residual = set(self._all_mons()) - pivots
-        assert residual == set(mons), "leading-ideal / row-space mismatch"
+        if residual != set(mons):
+            raise CertificationError("leading-ideal / row-space mismatch")
 
     def _all_mons(self):
         return monomials_below(self.ring.n, self.cutoff)

@@ -1,29 +1,112 @@
-"""Kernel backend selection.
+"""Term-map kernels.
 
-Prefers the compiled Cython kernels when the extension was built; falls back
-to the pure-Python twin otherwise.  Set LOGDERIV_PURE_KERNELS=1 to force the
-pure backend (used by the benchmark and for debugging).
+A polynomial is carried around the hot paths as a plain dict mapping an
+exponent tuple to a nonzero Fraction.  These functions are the inner loops of
+polynomial arithmetic and standard-basis reduction.
 """
 
-import os
 
-if os.environ.get("LOGDERIV_PURE_KERNELS"):
-    from logderiv import _pykernels as _impl
-else:
-    try:
-        from logderiv import _ckernels as _impl  # type: ignore[no-redef]
-    except ImportError:
-        from logderiv import _pykernels as _impl  # type: ignore[no-redef]
+def mono_div(a, b):
+    """Exponent-wise difference a - b, or None if some entry would go negative."""
+    out = []
+    for x, y in zip(a, b):
+        d = x - y
+        if d < 0:
+            return None
+        out.append(d)
+    return tuple(out)
 
-BACKEND = _impl.__name__.rsplit(".", 1)[-1].lstrip("_").replace("kernels", "")
-BACKEND = {"c": "cython", "py": "python"}[BACKEND]
 
-mono_mul = _impl.mono_mul
-mono_div = _impl.mono_div
-mono_lcm = _impl.mono_lcm
-dict_add = _impl.dict_add
-dict_sub = _impl.dict_sub
-dict_scale = _impl.dict_scale
-dict_mul = _impl.dict_mul
-dict_axpy = _impl.dict_axpy
-vec_axpy = _impl.vec_axpy
+def mono_lcm(a, b):
+    return tuple(x if x > y else y for x, y in zip(a, b))
+
+
+def dict_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        s = out.get(m)
+        if s is None:
+            out[m] = c
+        else:
+            s = s + c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
+def dict_sub(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        s = out.get(m)
+        if s is None:
+            out[m] = -c
+        else:
+            s = s - c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
+def dict_scale(a, c):
+    if not c:
+        return {}
+    return {m: c * v for m, v in a.items()}
+
+
+def dict_mul(a, b):
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            s = out.get(m)
+            if s is None:
+                out[m] = ca * cb
+            else:
+                s = s + ca * cb
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+    return out
+
+
+def dict_axpy(h, c, shift, g):
+    """Return h - c * x^shift * g; the reduction step of division/Mora loops."""
+    out = dict(h)
+    for m, v in g.items():
+        key = tuple(x + y for x, y in zip(m, shift))
+        s = out.get(key)
+        cv = c * v
+        if s is None:
+            out[key] = -cv
+        else:
+            s = s - cv
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
+
+
+def vec_axpy(h, c, shift, g):
+    """Module version of dict_axpy: keys are (component, exponent-tuple)."""
+    out = dict(h)
+    for (comp, m), v in g.items():
+        key = (comp, tuple(x + y for x, y in zip(m, shift)))
+        s = out.get(key)
+        cv = c * v
+        if s is None:
+            out[key] = -cv
+        else:
+            s = s - cv
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out

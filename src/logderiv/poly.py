@@ -25,6 +25,11 @@ class RingMismatchError(ValueError):
     pass
 
 
+class CertificationError(RuntimeError):
+    """A certification check failed: an exact identity that the mathematics
+    guarantees does not hold, so the computation behind it is wrong."""
+
+
 class Ring:
     """A polynomial ring context: just an ordered tuple of variable names."""
 
@@ -357,7 +362,8 @@ def _det_bareiss(rows, ring):
             for j in range(k + 1, n):
                 num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
                 q = exact_div(num, prev)
-                assert q is not None, "Bareiss division must be exact"
+                if q is None:
+                    raise CertificationError("Bareiss division must be exact")
                 a[i][j] = q
             a[i][k] = ring.zero()
         prev = a[k][k]

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from logderiv import ideals
 from logderiv.divisors import (
-    DivisorGerm,
     Verdict,
     apply_derivation,
     apply_derivs,
@@ -25,7 +24,7 @@ from logderiv.divisors import (
 from logderiv.exactla import RowBasis
 from logderiv.ideals import IdealData, ZeroIdealQuotientError
 from logderiv.orders import LOCAL
-from logderiv.poly import Polynomial, exact_div, hessian_det, jacobian_gens
+from logderiv.poly import hessian_det, jacobian_gens
 
 
 class NotArtinError(ValueError):
@@ -237,12 +236,7 @@ def theorem_b_check(D, theta, gamma):
     free = all(memberships)
 
     # lift the minimal generating subset of Theta(gamma) back to Theta
-    count, kept = ideals.min_generators([[g] for g in Tg.gens], ring, 1)
-    gen_list = list(Tg.gens)
-    basis = []
-    for v in kept:
-        idx = gen_list.index(v[0])
-        basis.append(theta.gens[idx])
+    basis = [theta.gens[Tg.gens.index(g)] for g in ci.certificate["gens"]]
 
     saito = saito_free_check(D, derlog(D) if not theta.is_full_derlog else theta)
     agreement = saito.ok == free

@@ -15,7 +15,6 @@ from fractions import Fraction
 from logderiv import ideals
 from logderiv.divisors import Verdict, apply_derivs, derlog
 from logderiv.ideals import IdealData
-from logderiv.orders import LOCAL
 from logderiv.poly import jacobian_gens
 
 

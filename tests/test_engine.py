@@ -95,6 +95,18 @@ class TestLocalStd:
         assert ideals.ideal_membership(X * Y**2, I, LOCAL)
         assert ideals.ideal_membership(X, I, LOCAL)
 
+    def test_member_of_local_unit_ideal(self):
+        # p is a unit locally, so <p, q> is the unit ideal; Mora's normal form
+        # of the combination below against its standard basis does not finish
+        h = Fraction(1, 2)
+        p = -2 * X**3 * Y**2 - X**3 * Y**3 - 5 * h * Y**3 - h
+        q = -Fraction(9, 4) * X + Fraction(2, 3) * X**3 - 2 * X * Y - Fraction(3, 4) * X**2 * Y
+        a = -5 * X**3 * Y - 3 * h * Y**2
+        b = -8 * X**3
+        I = IdealData(R, [p, q])
+        assert ideals.ideal_membership(a * p + b * q, I, LOCAL)
+        assert ideals.ideal_membership(X, I, LOCAL)
+
     def test_tangent_cone_leading_terms(self):
         I = IdealData(R, [X**2 - Y**3])
         lead = engine.leading_exponents(I.basis_entries(LOCAL))

@@ -17,6 +17,8 @@ from logderiv.poly import Polynomial, Ring
 R = Ring(["x", "y"])
 X, Y = R.gens()
 
+SCHEMA = json.loads(resources.files("logderiv").joinpath("report_schema.json").read_text())
+
 WHITNEY = """\
 # pinch point
 ring: x, y, z
@@ -32,6 +34,14 @@ gamma: x^2 + y^2 + z^2
 gamma_space: x^2; y^2; z^2
 locus: x, y
 """
+
+# explicit thetas for f = x*y that are not a basis of Der(-log D), each with
+# the certificate field that records why
+NOT_A_BASIS = [
+    ("(x, 0)", "min_generators"),
+    ("(x^2, 0); (0, y)", "cofactor"),
+    ("(x^2, 0); (0, y); (x*y, 0)", "min_generators"),
+]
 
 coeffs = st.builds(Fraction, st.integers(-99, 99).filter(bool), st.integers(1, 30))
 monos = st.tuples(st.integers(0, 6), st.integers(0, 6))
@@ -125,14 +135,11 @@ class TestCLI:
         capsys.readouterr()
 
     def test_json_matches_schema(self, problem, capsys):
-        schema = json.loads(
-            resources.files("logderiv").joinpath("report_schema.json").read_text()
-        )
         for cmd, code in [("free", 1), ("derlog", 0), ("socle", 0), ("theorem-b", 2)]:
             whit = problem(WHITNEY)
             assert main([cmd, whit, "--json"]) == code
             rep = json.loads(capsys.readouterr().out)
-            jsonschema.validate(rep, schema)
+            jsonschema.validate(rep, SCHEMA)
             assert rep["command"] == cmd
             assert rep["timings_ms"] is None
 
@@ -167,6 +174,37 @@ class TestCLI:
         ]
         assert runs[0].returncode == runs[1].returncode == 0
         assert runs[0].stdout == runs[1].stdout
+
+
+class TestExplicitTheta:
+    """A theta that is not all of Der(-log D) decides nothing about D."""
+
+    @pytest.mark.parametrize("theta, field", NOT_A_BASIS)
+    def test_not_a_basis_is_a_precondition_failure(self, problem, capsys, theta, field):
+        path = problem(f"ring: x, y\nf: x*y\ntheta: {theta}\n")
+        assert main(["free", path, "--json"]) == 2
+        rep = json.loads(capsys.readouterr().out)
+        jsonschema.validate(rep, SCHEMA)
+        assert rep["verdict"] is False
+        assert field in rep["certificate"]
+
+    def test_basis_still_decides(self, problem, capsys):
+        path = problem("ring: x, y\nf: x*y\ntheta: (x, 0); (0, y)\n")
+        assert main(["free", path, "--json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["certificate"]["unit_cofactor"] == "1"
+
+    def test_optimized_interpreter(self, problem):
+        theta, field = NOT_A_BASIS[1]
+        path = problem(f"ring: x, y\nf: x*y\ntheta: {theta}\n")
+        run = subprocess.run(
+            [sys.executable, "-O", "-m", "logderiv.cli", "free", path, "--json"],
+            capture_output=True,
+        )
+        assert run.returncode == 2, run.stderr
+        rep = json.loads(run.stdout)
+        jsonschema.validate(rep, SCHEMA)
+        assert field in rep["certificate"]
 
 
 class TestJsonable:
