@@ -268,6 +268,11 @@ def monomial_ideal_dim(lead_exps, n):
     return best
 
 
+def std_monomial_key(e):
+    """Listing order of standard monomials: by degree, then reverse exponents."""
+    return (sum(e), tuple(reversed(e)))
+
+
 def standard_monomials(lead_exps, n):
     """Monomials outside the monomial ideal, or None if infinitely many."""
     if contains_unit(lead_exps):
@@ -291,5 +296,5 @@ def standard_monomials(lead_exps, n):
             rec(prefix + [v])
 
     rec([])
-    out.sort(key=lambda e: (sum(e), tuple(reversed(e))))
+    out.sort(key=std_monomial_key)
     return out

@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals on sparse dict-vectors.
 
 Rows are dicts mapping a hashable column label to a nonzero Fraction.
-Column precedence is given by a key function: the column with the largest
-key is eliminated first.  Used by the Artin-quotient reduction and by the
+Column precedence is given by a key function: the pivot of a row is its
+column with the largest key.  Used by the Artin-quotient reduction and by the
 jet oracle.
 """
 
@@ -19,23 +19,23 @@ class RowBasis:
         self.pivots = {}  # pivot column -> row dict (pivot coeff 1, reduced)
 
     def reduce(self, row):
-        """Eliminate all pivot columns from row; returns a new dict."""
+        """Eliminate all pivot columns from row; returns a new dict.
+
+        A pivot row holds no other pivot column, so one pass over the pivot
+        columns of `row` eliminates them all and brings none back.
+        """
         r = dict(row)
-        while True:
-            hit = None
-            for col in r:
-                if col in self.pivots:
-                    if hit is None or self.colkey(col) > self.colkey(hit):
-                        hit = col
-            if hit is None:
-                return r
-            c = r[hit]
+        for hit in [col for col in row if col in self.pivots]:
+            c = r.pop(hit)
             for col2, v in self.pivots[hit].items():
+                if col2 == hit:
+                    continue
                 s = r.get(col2, Fraction(0)) - c * v
                 if s:
                     r[col2] = s
                 elif col2 in r:
                     del r[col2]
+        return r
 
     def insert(self, row):
         """Reduce row and, if nonzero, add it as a new pivot row.

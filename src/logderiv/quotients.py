@@ -3,9 +3,10 @@
 The quotient O/I (I of finite colength, locally at the origin) is handled as
 a concrete finite-dimensional vector space on the standard monomials, with
 canonical coset representatives from the exact linear reduction in
-`ideals.LocalArtinReducer`.  Annihilators are colon ideals pushed into the
-quotient; equality of coset ideals is decided at the ideal level (I + lifts),
-never by comparing representatives.
+`ideals.LocalArtinReducer`.  Annihilators are kernels of multiplication maps
+on that basis (`ideals.ideal_quotient`); the socle basis is in reduced row
+echelon form.  Equality of coset ideals is decided at the ideal level
+(I + lifts), never by comparing representatives.
 """
 
 from __future__ import annotations
@@ -37,14 +38,13 @@ class QuotientAlgebra:
     """O_loc/I with a standard-monomial vector-space basis."""
 
     def __init__(self, I):
-        mons = ideals.std_monomials(I)
-        if mons is None:
+        self._red = ideals.artin_reducer(I)
+        if self._red is None:
             raise NotArtinError(ideals.dim_at_origin(I))
         self.ideal = I
         self.ring = I.ring
-        self.std_mons = mons
-        self.dim = len(mons)
-        self._red = ideals.artin_reducer(I)
+        self.std_mons = self._red.std_mons
+        self.dim = len(self.std_mons)
 
     def reduce(self, p):
         """Canonical coset representative supported on the standard monomials."""
@@ -99,7 +99,8 @@ def quotient(I):
 
 
 def annihilator(A, J):
-    """Ann_A(image of J) = (I : J) mod I as a coset ideal.
+    """Ann_A(image of J) = (I : J) mod I as a coset ideal: the kernel of
+    multiplication by J on the standard monomials, in reduced row echelon form.
 
     The annihilator of the zero ideal is all of A, signalled by the coset
     ideal generated by 1.
@@ -127,6 +128,7 @@ def ci_check(I):
 
     In a regular local ring of dimension n this means finite colength and
     exactly n minimal generators (then automatically a regular sequence).
+    The minimal generators are counted as dim I/mI by row reduction.
     """
     n = I.ring.n
     cl = ideals.colength(I)
@@ -136,7 +138,8 @@ def ci_check(I):
             certificate={"dim": ideals.dim_at_origin(I)},
             diagnostics=["colength infinite: not Artin"],
         )
-    count, gens = ideals.min_generators_ideal(I)
+    gens = ideals.kept_generators(I)
+    count = len(gens)
     ok = count == n
     return Verdict(
         ok,

@@ -107,6 +107,24 @@ class TestLocalStd:
         assert ideals.ideal_membership(a * p + b * q, I, LOCAL)
         assert ideals.ideal_membership(X, I, LOCAL)
 
+    def test_member_of_artinian_ideal(self):
+        # q is x times a unit, so <p, q> = <x, y^3> locally; Mora's normal
+        # form of this member against its standard basis does not finish
+        p = -Fraction(7, 4) * X**2 - Fraction(3, 2) * Y**3 - Fraction(3, 2) * X**2 * Y - 2 * X * Y**3
+        q = -3 * X + Fraction(7, 2) * X**3 * Y**2 + 3 * X * Y
+        member = (
+            -Fraction(49, 2) * X**5 * Y**4 - Fraction(49, 6) * X**6 * Y**2 - 3 * X**3 * Y**4
+            + Fraction(4, 3) * X**2 * Y**5 + Fraction(3, 8) * X**4 * Y**2 - 20 * X**3 * Y**3
+            - Fraction(9, 4) * X**2 * Y**4 + 9 * X * Y**5 - Fraction(77, 8) * X**4 * Y
+            + Fraction(133, 6) * X**3 * Y**2 + 6 * X**2 * Y**3 - 4 * X * Y**4 + 6 * Y**5
+            + 7 * X**4 + 4 * X**2 * Y**2 - 3 * Y**4 - Fraction(5, 4) * X**2 * Y
+            - Fraction(9, 4) * X**2
+        )
+        I = IdealData(R, [p, q])
+        assert ideals.std_monomials(I) == [(0, 0), (0, 1), (0, 2)]
+        assert ideals.ideal_membership(member, I, LOCAL)
+        assert not ideals.ideal_membership(Y**2, I, LOCAL)
+
     def test_tangent_cone_leading_terms(self):
         I = IdealData(R, [X**2 - Y**3])
         lead = engine.leading_exponents(I.basis_entries(LOCAL))

@@ -1,13 +1,14 @@
 """Ideal operations: intersection, colon, minimal generators, Artin data,
 radical membership over the localization."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
-from logderiv import ideals
-from logderiv.ideals import IdealData, ZeroIdealQuotientError, artin_reducer
-from logderiv.orders import GLOBAL, LOCAL
+from logderiv import engine, ideals
+from logderiv.ideals import IdealData, ZeroIdealQuotientError, artin_reducer, poly_to_vec
+from logderiv.orders import GLOBAL, LOCAL, ModuleOrder
 from logderiv.poly import Polynomial, Ring
 
 R = Ring(["x", "y"])
@@ -21,6 +22,35 @@ monos = st.tuples(st.integers(0, 3), st.integers(0, 3))
 polys = st.dictionaries(monos, coeffs, min_size=1, max_size=3).map(
     lambda d: Polynomial(R, dict(d))
 )
+
+
+class _OverBudget(Exception):
+    pass
+
+
+@contextmanager
+def reduction_budget(steps=2000, bits=512):
+    """Stop the standard-basis engine after `steps` reduction steps, or at a
+    coefficient wider than `bits` bits."""
+    axpy = engine.vec_axpy
+    done = 0
+
+    def counted(*args):
+        nonlocal done
+        done += 1
+        out = axpy(*args)
+        if done > steps or any(
+            max(q.numerator.bit_length(), q.denominator.bit_length()) > bits
+            for q in out.values()
+        ):
+            raise _OverBudget
+        return out
+
+    engine.vec_axpy = counted
+    try:
+        yield
+    finally:
+        engine.vec_axpy = axpy
 
 
 class TestIntersect:
@@ -86,22 +116,67 @@ class TestColon:
         for h in Q.gens:
             assert ideals.ideal_membership(h * g, I, LOCAL)
 
+    # three Artinian colons whose syzygy computation under Mora's normal form
+    # did not finish: in the first and third I is the unit ideal locally
+    # (p has a constant term), and in the first g is a unit as well
+
+    def test_colon_of_unit_ideal_by_unit(self):
+        p = Fraction(9, 4) * X**3 * Y**2 + Fraction(1, 4)
+        q = 5 * X**2 * Y**2 - Fraction(3, 2) * Y**3
+        g = -Fraction(5, 2) * X**3 - 7 * X * Y - 2
+        I = IdealData(R, [p, q])
+        Q = ideals.ideal_quotient(I, IdealData(R, [g]), LOCAL)
+        assert ideals.colength(Q) == 0
+
+    def test_colon_of_artinian_ideal(self):
+        p = Fraction(3, 2) * X**3 * Y**3 + 9 * Y**2
+        q = -Fraction(5, 2) * Y**3 + 5 * X * Y + Fraction(4, 3) * X
+        g = Fraction(3, 4) * X**3 * Y**2 - 6 * X**2 * Y**2 + 2 * X
+        I = IdealData(R, [p, q])
+        Q = ideals.ideal_quotient(I, IdealData(R, [g]), LOCAL)
+        for h in Q.gens:
+            assert ideals.ideal_membership(h * g, I, LOCAL)
+        # locally p = y^2 * unit and q = x * unit - 5/2*y^3, so I = <x, y^2>;
+        # g = x * unit lies in I and the colon is the whole ring
+        assert ideals.colength(I) == 2
+        assert ideals.colength(Q) == 0
+
+    def test_colon_of_unit_ideal(self):
+        p = Fraction(3, 2) * X * Y**3 - Fraction(3, 4)
+        q = 4 * X**3 * Y - Fraction(3, 2) * X**3 - 4 * X * Y
+        g = -Fraction(3, 4) * X**3 * Y**2 - Fraction(3, 2) * X * Y**3 - Fraction(7, 2) * Y
+        I = IdealData(R, [p, q])
+        Q = ideals.ideal_quotient(I, IdealData(R, [g]), LOCAL)
+        assert ideals.colength(Q) == 0
+
 
 class TestMinGenerators:
     def test_redundant_dropped(self):
         I = IdealData(R, [X, Y, X + Y, X**2])
-        count, gens = ideals.min_generators_ideal(I)
-        assert count == 2
+        # greedy removal of the lowest-index redundant generator keeps y, x + y
+        assert ideals.kept_generators(I) == [Y, X + Y]
 
     def test_unit_multiple_dropped(self):
-        I = IdealData(R, [X, X * (1 + Y)])
-        count, _ = ideals.min_generators_ideal(I)
-        assert count == 1
+        I = IdealData(R, [X, X * (1 + Y), Y**2])
+        assert len(ideals.kept_generators(I)) == 2
 
     def test_independent_kept(self):
         I = IdealData(R, [X**2, X * Y, Y**2])
-        count, _ = ideals.min_generators_ideal(I)
-        assert count == 3
+        assert len(ideals.kept_generators(I)) == 3
+
+    @HYPO
+    @given(st.lists(polys, min_size=1, max_size=4))
+    def test_same_set_as_greedy_removal(self, extra):
+        # the module path (greedy removal by local standard bases) keeps the
+        # same generators as the row reduction in I/mI
+        gens = [X**2, Y**3] + [p for p in extra if not p.is_zero()]
+        I = IdealData(R, gens)
+        try:
+            with reduction_budget():
+                _, kept = ideals.min_generators([[g] for g in I.gens], 1)
+        except _OverBudget:
+            reject()
+        assert ideals.kept_generators(I) == [v[0] for v in kept]
 
 
 class TestArtinReducer:
@@ -124,6 +199,37 @@ class TestArtinReducer:
         r = red.reduce((1 + X) * (1 + Y))
         assert set(r.terms) <= mons
         assert red.reduce(X * Y) == X * Y
+
+
+class TestMoraAgainstRowReduction:
+    """The finite-colength path (truncated row reduction) against Mora's
+    standard basis and the syzygy colon, on ideals <x^a, y^b, p>.  Examples
+    where Mora's side goes over a budget of reduction steps or coefficient
+    bits are rejected: that side runs away on some Artinian ideals."""
+
+    @HYPO
+    @given(st.integers(1, 4), st.integers(1, 4), polys, polys, polys)
+    def test_same_quotient(self, a, b, p, h, g):
+        I = IdealData(R, [X**a, Y**b, p])
+        try:
+            with reduction_budget():
+                basis = I.basis_entries(LOCAL)
+                in_mora = engine.is_member(poly_to_vec(h), basis, ModuleOrder(LOCAL))
+                S = ideals._colon_single(I, g, LOCAL)
+        except _OverBudget:
+            reject()
+        mora = engine.standard_monomials(engine.leading_exponents(basis), 2)
+        red = artin_reducer(I)
+        # the residual monomials of the row basis are Mora's standard
+        # monomials, in the same order (the CertificationError identity)
+        assert red.std_mons == mora
+        assert ideals.std_monomials(I) == mora
+        assert ideals.colength(I) == len(mora)
+        assert ideals.ideal_membership(h * p + g * X**a, I, LOCAL)
+        assert ideals.ideal_membership(h, I, LOCAL) == in_mora
+        # the kernel colon and the syzygy colon are the same ideal
+        Q = ideals.ideal_quotient(I, IdealData(R, [g]), LOCAL)
+        assert ideals.ideal_equal(Q, S, LOCAL)
 
 
 class TestRadicalMembership:

@@ -35,6 +35,19 @@ gamma_space: x^2; y^2; z^2
 locus: x, y
 """
 
+SWALLOWTAIL = """\
+ring: x, y, z
+f: 256*z^3 - 128*x^2*z^2 + 144*x*y^2*z - 27*y^4 + 16*x^4*z - 4*x^3*y^2
+gamma: x^2 + y^2 + z^2
+locus: x, y, z
+"""
+
+# reduced plane curves whose Theta(gamma) is a colength-11 complete intersection
+PLANE_CURVES = [
+    "f: (x-y)*(x+y)*(x+2*y)*(2*x-3*y)*(2*x+3*y) + 5*x*y^5\ngamma: 4*x^2 + y^2\n",
+    "f: (x-y)*(x+y)*(2*x-3*y)*(3*x-2*y)*(3*x-y) + 4*x^2*y^4\ngamma: 2*x^2 + 3*y^2\n",
+]
+
 # explicit thetas for f = x*y that are not a basis of Der(-log D), each with
 # the certificate field that records why
 NOT_A_BASIS = [
@@ -174,6 +187,37 @@ class TestCLI:
         ]
         assert runs[0].returncode == runs[1].returncode == 0
         assert runs[0].stdout == runs[1].stdout
+
+
+class TestArtinianGerms:
+    """Commands on finite-colength quotients that ran away in Mora's standard
+    basis, the syzygy colon or the Rabinowitsch basis."""
+
+    def _json(self, capsys, argv, code=0):
+        assert main(argv + ["--json"]) == code
+        rep = json.loads(capsys.readouterr().out)
+        jsonschema.validate(rep, SCHEMA)
+        return rep["certificate"]
+
+    def test_swallowtail_socle(self, problem, capsys):
+        cert = self._json(capsys, ["socle", problem(SWALLOWTAIL)])
+        assert cert == {"algebra_dim": 8, "socle_basis": ["z^3"], "socle_dim": 1}
+
+    def test_swallowtail_wiebe(self, problem, capsys):
+        cert = self._json(capsys, ["wiebe", problem(SWALLOWTAIL)])
+        assert cert["delta_generates_ann_J"] and cert["J_is_ann_delta"]
+
+    def test_swallowtail_locus(self, problem, capsys):
+        cert = self._json(capsys, ["locus", problem(SWALLOWTAIL)])
+        pairs = cert["I_in_sqrt_candidate"] + cert["candidate_in_sqrt_I"]
+        assert len(pairs) == 7 and all(ok for _, ok in pairs)
+
+    @pytest.mark.parametrize("curve", PLANE_CURVES)
+    def test_plane_curve_artin(self, problem, capsys, curve):
+        cert = self._json(capsys, ["artin", problem("ring: x, y\n" + curve)])
+        assert cert["colength"] == 11
+        assert cert["min_generators"] == 2
+        assert cert["complete_intersection"]
 
 
 class TestExplicitTheta:
