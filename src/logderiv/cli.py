@@ -2,7 +2,9 @@
 
 Every command reads one problem file (path or `-` for stdin) and writes a
 text or JSON report to stdout.  Exit codes: 0 = verdict true / success,
-1 = verdict false, 2 = precondition failure, 3 = input error.  JSON reports
+1 = verdict false, 2 = precondition failure, 3 = input error, 4 = failed
+certification (an identity the mathematics guarantees did not hold, so the
+computation is wrong; the verdict is null).  JSON reports
 use the fixed field set (command, verdict, certificate, diagnostics, seed,
 timings_ms) validated by report_schema.json; with the default flags they are
 byte-identical across runs for identical inputs and seed.
@@ -32,7 +34,7 @@ from logderiv.divisors import (
 )
 from logderiv.jets import cross_check_colength, cross_check_derlog
 from logderiv.parse import ParseError, parse_input
-from logderiv.poly import Polynomial, PolyMatrix
+from logderiv.poly import CertificationError, Polynomial, PolyMatrix
 from logderiv.quotients import (
     NotArtinError,
     ci_check,
@@ -48,6 +50,7 @@ EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_PRECONDITION = 2
 EXIT_INPUT = 3
+EXIT_CERTIFICATION = 4
 
 COMMANDS = (
     "derlog",
@@ -360,6 +363,11 @@ def main(argv=None):
         print(f"precondition failure: {e}", file=sys.stderr)
         emit(report, args.json)
         return EXIT_PRECONDITION
+    except CertificationError as e:
+        report["diagnostics"] = [str(e)]
+        print(f"certification failure: {e}", file=sys.stderr)
+        emit(report, args.json)
+        return EXIT_CERTIFICATION
 
     report["verdict"] = bool(verdict)
     report["certificate"] = cert

@@ -4,7 +4,8 @@ A derivation is carried as its coefficient vector (a_1, ..., a_n) with
 respect to the partials d/dx_i; it is tangent to the divisor f = 0 when
 applying it to f lands in <f>.  The full module of such derivations is the
 projection of the syzygies of (df/dx_1, ..., df/dx_n, -f) to the first n
-coordinates.
+coordinates.  For a homogeneous f the module is graded, and when f is also
+reduced a basis is first sought degree by degree by exact linear algebra.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from logderiv import ideals
-from logderiv.ideals import IdealData
+from logderiv.exactla import RowBasis, nullspace
+from logderiv.ideals import IdealData, monomials_below
 from logderiv.orders import GLOBAL, LOCAL
 from logderiv.poly import CertificationError, Polynomial, PolyMatrix, exact_div, jacobian_gens
 
@@ -51,11 +53,18 @@ class DivisorGerm:
         self.ring = ring
         self.f = f
         self._principal = None
+        self._reducedness = None
 
     def principal_ideal(self):
         if self._principal is None:
             self._principal = IdealData(self.ring, [self.f])
         return self._principal
+
+    def reducedness(self):
+        """The verdict of `reducedness_check`, computed once per germ."""
+        if self._reducedness is None:
+            self._reducedness = reducedness_check(self)
+        return self._reducedness
 
     def __repr__(self):
         return f"DivisorGerm({self.f})"
@@ -139,10 +148,19 @@ def reducedness_check(D):
 def derlog(D):
     """Generators of Der(-log D) = {delta : delta(f) in <f>}.
 
-    Computed as the first n coordinates of the syzygies of
-    (df/dx_1, ..., df/dx_n, -f) over the global degrevlex module order;
-    the same generators generate the localized module.
+    The homogeneous basis of `graded_derlog` when it certifies one, else the
+    generators of `syzygy_derlog`.  Either set generates the module over the
+    polynomial ring, hence also the localized module.
     """
+    gens = graded_derlog(D)
+    if gens is None:
+        gens = syzygy_derlog(D)
+    return DerivationModule(D, gens, is_full_derlog=True, check_tangency=False)
+
+
+def syzygy_derlog(D):
+    """The first n coordinates of the syzygies of (df/dx_1, ..., df/dx_n, -f)
+    over the global degrevlex module order, without repeats."""
     ring = D.ring
     cols = jacobian_gens(D.f) + [-D.f]
     gens = []
@@ -156,7 +174,95 @@ def derlog(D):
             continue
         seen.add(key)
         gens.append(vec)
-    return DerivationModule(D, gens, is_full_derlog=True, check_tangency=False)
+    return gens
+
+
+def _deriv_key(col):
+    # position over term: component 0 on top, then the local order
+    i, m = col
+    return (-i, LOCAL.key(m))
+
+
+def _monomials_of_degree(n, d):
+    return [m for m in monomials_below(n, d + 1) if sum(m) == d]
+
+
+def _shift(m, s):
+    return tuple(x + y for x, y in zip(m, s))
+
+
+def _graded_piece(f, grads, d):
+    """The derivations of degree d tangent to f, in reduced row-echelon form.
+
+    Rows are sparse over (component, monomial) columns: the nullspace of
+    sum_i a_i * df/dx_i - c * f = 0 with a_i of degree d and c of degree
+    d - 1, projected to the a-part (c = delta(f) / f is fixed by a).
+    """
+    n = f.ring.n
+    a_mons = _monomials_of_degree(n, d)
+    c_mons = _monomials_of_degree(n, d - 1)
+    eqs = {}  # monomial of delta(f) - c*f -> row over the unknowns
+    for i, g in enumerate(grads):
+        for m in a_mons:
+            for gm, gc in g.terms.items():
+                eqs.setdefault(_shift(m, gm), {})[(i, m)] = gc
+    for m in c_mons:
+        for fm, fc in f.terms.items():
+            eqs.setdefault(_shift(m, fm), {})[(n, m)] = -fc
+    columns = [(i, m) for i in range(n) for m in a_mons] + [(n, m) for m in c_mons]
+    piece = RowBasis(_deriv_key)
+    for sol in nullspace(list(eqs.values()), columns, _deriv_key):
+        piece.insert({col: c for col, c in sol.items() if col[0] < n})
+    return piece
+
+
+def graded_derlog(D):
+    """A homogeneous basis of Der(-log D) certified by Saito's criterion, or None.
+
+    Only for f homogeneous, where Der(-log D) is a graded module, and reduced.
+    For d = 0, 1, ..., deg f, the rows of the degree-d piece, latest
+    component first, that the degree-d part of the submodule spanned by the
+    earlier generators does not contain are new generators: by graded
+    Nakayama, minimal ones.  Once there are n of them, they are a basis iff
+    their Saito determinant is a nonzero constant times f (Saito's
+    criterion); a free module has exactly n minimal generators, so otherwise
+    it is not free.  None on more than n generators, a degree sum above
+    deg f, or no basis by degree deg f.  Listed from the highest degree to
+    the lowest, component 0 first within a degree.
+    """
+    f = D.f
+    if not f.is_homogeneous() or not D.reducedness().ok:
+        return None
+    ring = D.ring
+    n = ring.n
+    e = f.total_degree()
+    grads = jacobian_gens(f)
+    kept = []  # (degree, row), in the order found
+    for d in range(e + 1):
+        span = RowBasis(_deriv_key)
+        for dg, row in kept:
+            for s in _monomials_of_degree(n, d - dg):
+                span.insert({(i, _shift(m, s)): c for (i, m), c in row.items()})
+        piece = _graded_piece(f, grads, d)
+        for piv in sorted(piece.pivots, key=_deriv_key):
+            if span.insert(piece.pivots[piv]) is not None:
+                kept.append((d, piece.pivots[piv]))
+        if len(kept) > n or sum(dg for dg, _ in kept) > e:
+            return None
+        if len(kept) == n:
+            gens = [_row_to_derivation(ring, row) for _, row in reversed(kept)]
+            u = exact_div(saito_matrix(gens, ring).det(), f)
+            if u is None or u.is_zero() or not u.is_constant():
+                return None
+            return gens
+    return None
+
+
+def _row_to_derivation(ring, row):
+    terms = [{} for _ in range(ring.n)]
+    for (i, m), c in row.items():
+        terms[i][m] = c
+    return [Polynomial(ring, t, _clean=True) for t in terms]
 
 
 def apply_derivs(theta, gamma):
@@ -185,7 +291,7 @@ def saito_free_check(D, theta):
     other than n or a non-unit cofactor raise NotABasisError: that theta is
     not all of Der(-log D).
     """
-    red = reducedness_check(D)
+    red = D.reducedness()
     if not red.ok:
         return Verdict(
             False,

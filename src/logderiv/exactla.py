@@ -2,8 +2,8 @@
 
 Rows are dicts mapping a hashable column label to a nonzero Fraction.
 Column precedence is given by a key function: the pivot of a row is its
-column with the largest key.  Used by the Artin-quotient reduction and by the
-jet oracle.
+column with the largest key.  Used by the Artin-quotient reduction, the graded
+Der(-log D) and the jet oracle.
 """
 
 from __future__ import annotations
@@ -72,9 +72,6 @@ class RowBasis:
 
     def contains(self, row):
         return not self.reduce(row)
-
-    def rows(self):
-        return [dict(r) for r in self.pivots.values()]
 
 
 def nullspace(rows, columns, colkey):

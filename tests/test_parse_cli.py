@@ -10,9 +10,10 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from logderiv import cli
 from logderiv.cli import main, to_jsonable
 from logderiv.parse import ParseError, parse_expr, parse_input
-from logderiv.poly import Polynomial, Ring
+from logderiv.poly import CertificationError, Polynomial, Ring
 
 R = Ring(["x", "y"])
 X, Y = R.gens()
@@ -141,6 +142,25 @@ class TestCLI:
         assert main(["free", q]) == 0
         out = capsys.readouterr().out
         assert "verdict: true" in out
+
+    def test_generic_arrangement_not_free(self, problem, capsys):
+        path = problem("ring: x, y, z\nf: x*y*z*(x+y+z)\n")
+        assert main(["free", path, "--json"]) == 1
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["certificate"] == {"min_generators": 4}
+
+    def test_certification_error_exit(self, problem, capsys, monkeypatch):
+        def broken(D, theta):
+            raise CertificationError("cofactor must be a local unit for a free divisor")
+
+        monkeypatch.setattr(cli, "saito_free_check", broken)
+        assert main(["free", problem(QUINTIC), "--json"]) == 4
+        captured = capsys.readouterr()
+        rep = json.loads(captured.out)
+        jsonschema.validate(rep, SCHEMA)
+        assert rep["verdict"] is None and rep["certificate"] is None
+        assert rep["diagnostics"] == ["cofactor must be a local unit for a free divisor"]
+        assert "certification failure" in captured.err
 
     def test_parse_error_exit(self, problem, capsys):
         bad = problem("ring: x\nf: x +")
