@@ -253,10 +253,10 @@ def run(command, pf, args):
         gamma = _require(pf, "gamma", command)
         if not gamma.is_homogeneous():
             raise PreconditionFailure("gamma must be homogeneous")
-        _, kept = _derivations(pf, D, need_n=True)
+        theta, kept = _derivations(pf, D, need_n=True)
         # the quotient algebra always comes from the full derivation module;
         # the explicit theta only selects the n derivations for the determinant
-        Tg = apply_derivs(derlog(D), gamma)
+        Tg = apply_derivs(theta if theta.is_full_derlog else derlog(D), gamma)
         try:
             A = quotient(Tg)
         except NotArtinError as e:

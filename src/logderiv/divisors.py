@@ -165,7 +165,7 @@ def syzygy_derlog(D):
     cols = jacobian_gens(D.f) + [-D.f]
     gens = []
     seen = set()
-    for s in ideals.syzygies(cols, GLOBAL):
+    for s in ideals.syzygies(cols):
         vec = s[: ring.n]
         if all(p.is_zero() for p in vec):
             continue
@@ -274,9 +274,8 @@ def apply_derivs(theta, gamma):
     return IdealData(ring, [apply_derivation(d, gamma) for d in theta.gens])
 
 
-def min_generators_derivs(theta, order=LOCAL):
-    count, kept = ideals.min_generators(theta.gens, theta.divisor.ring.n, order)
-    return count, kept
+def min_generators_derivs(theta):
+    return ideals.min_generators(theta.gens)
 
 
 def saito_free_check(D, theta):

@@ -5,13 +5,14 @@ Everything is phrased over free-module elements: a "vector" is a dict mapping
 component 0 of a rank-1 module.  One Buchberger-style completion loop serves
 both the global case (ordinary division as normal form) and the local case
 (Mora's weak normal form with ecart-based reducer selection, which terminates
-for non-well-orders and decides membership in the localization at the
-origin).
+for non-well-orders).  The local case is only used to read the local leading
+ideal; every other local question is answered from global data, since
+localization at the origin is flat.
 
 Syzygies come from the tagged-unit-vector construction: augment each input
-vector with a fresh tag component, complete under an order that eliminates
-the original components, and read syzygies off the elements whose original
-part vanished.
+vector with a fresh tag component, complete under a global order that
+eliminates the original components, and read syzygies off the elements whose
+original part vanished.  They generate the syzygies over the localization too.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import heapq
 from fractions import Fraction
 
 from logderiv.kernels import mono_div, mono_lcm, vec_axpy
-from logderiv.orders import ModuleOrder
+from logderiv.orders import GLOBAL, ModuleOrder
 
 
 class Entry:
@@ -204,9 +205,9 @@ def is_member(v, basis, order):
     return not normal_form(v, basis, order)
 
 
-def syzygy_module(vectors, ncomp, base_order):
-    """Generators of {(a_1..a_m) : sum a_i v_i = 0} over the ring (global
-    base order) or its localization at the origin (local base order).
+def syzygy_module(vectors, ncomp):
+    """Generators of {(a_1..a_m) : sum a_i v_i = 0} over the polynomial ring,
+    hence also over its localization at the origin.
 
     Returns a list of rank-m vectors.
     """
@@ -214,7 +215,7 @@ def syzygy_module(vectors, ncomp, base_order):
     m = len(vecs)
     if m == 0:
         return []
-    order = ModuleOrder(base_order, elim_comps=ncomp)
+    order = ModuleOrder(GLOBAL, elim_comps=ncomp)
     zero_exp = None
     for v in vecs:
         for (_, e) in v:

@@ -2,20 +2,28 @@
 
 `IdealData` wraps a generator list and caches one standard basis per term
 order.  Global orders compute in the polynomial ring, local orders in the
-localization at the origin; membership, equality, colon ideals, colength and
-dimension all take the order as an argument and mean the corresponding ring.
+localization at the origin; membership, equality and colon ideals take the
+order as an argument and mean the corresponding ring.
 
 Every local operation on an ideal of finite colength is row reduction on
-its `artin_reducer`; standard bases and syzygies serve positive-dimensional
-germs and the global order.
+its `artin_reducer`.  On a germ of positive dimension, localization is flat:
+syzygies, colons and intersections are the global ones; p lies in I*O iff
+the global colon (I : p) has a generator that is a unit at the origin, and
+a vector lies in a localized module by the same test on syzygies.  Minimal
+generators of a module come from its global syzygies at the origin.  The
+local standard basis (Mora) only reads the local leading ideal: the
+dimension at the origin, the settling fallback and the germ radical
+membership.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from logderiv import engine
 from logderiv.exactla import RowBasis, nullspace
 from logderiv.orders import GLOBAL, LOCAL, GermElimOrder, ModuleOrder
-from logderiv.poly import CertificationError, Polynomial, RingMismatchError
+from logderiv.poly import CertificationError, Polynomial, RingMismatchError, exact_div
 
 
 class ZeroIdealQuotientError(ValueError):
@@ -88,6 +96,7 @@ def normal_form(p, I, order):
 
 
 def ideal_membership(p, I, order):
+    """p in I, or locally p in I*O: a global member, or (I : p) holds a unit."""
     if p.is_zero():
         return True
     if not I.gens:
@@ -95,10 +104,24 @@ def ideal_membership(p, I, order):
     red = None if order.is_global else artin_reducer(I)
     if red is not None:
         return not red.reduce_terms(p.terms)
-    basis = I.basis_entries(order)
-    if engine.contains_unit(engine.leading_exponents(basis)):
+    if engine.is_member(poly_to_vec(p), I.basis_entries(GLOBAL), ModuleOrder(GLOBAL)):
         return True
-    return engine.is_member(poly_to_vec(p), basis, ModuleOrder(order))
+    if order.is_global:
+        return False
+    # outside the finite-colength I + m^(ord p + 1), p is no local member:
+    # this spares the colon for most non-members
+    k = 1 + p.order_at_origin()
+    powers = [I.ring.monomial(e) for e in monomials_below(I.ring.n, k + 1) if sum(e) == k]
+    if not ideal_membership(p, IdealData(I.ring, list(I.gens) + powers), LOCAL):
+        return False
+    # a common monomial factor cancels from the colon, which contains the
+    # generators: a unit among them spares the syzygies
+    polys = (p, *I.gens)
+    common = I.ring.monomial([min(e[i] for g in polys for e in g.terms) for i in range(I.ring.n)])
+    p, *gens = (exact_div(g, common) for g in polys)
+    if any(g.constant_term() for g in gens):
+        return True
+    return any(a.constant_term() for a in _colon_single(IdealData(I.ring, gens), p).gens)
 
 
 def ideal_contains(I, J, order):
@@ -109,8 +132,9 @@ def ideal_equal(I, J, order):
     return ideal_contains(I, J, order) and ideal_contains(J, I, order)
 
 
-def syzygies(polys_or_vectors, order=GLOBAL):
-    """Generating set of the syzygy module of the given elements.
+def syzygies(polys_or_vectors):
+    """Generating set of the syzygy module of the given elements, over the
+    polynomial ring and over its localization at the origin.
 
     Accepts either a list of polynomials (syzygies of ideal generators) or a
     list of equal-length polynomial vectors.  Returns a list of length-m
@@ -128,63 +152,46 @@ def syzygies(polys_or_vectors, order=GLOBAL):
         vecs = [polyvec_to_vec(pv) for pv in polys_or_vectors]
         k = len(first)
     m = len(vecs)
-    raw = engine.syzygy_module(vecs, k, order)
+    raw = engine.syzygy_module(vecs, k)
     return [vecs_to_polys(s, ring, m) for s in raw]
 
 
-def module_entries(vectors, ncomp, order):
-    vecs = [polyvec_to_vec(v) for v in vectors if any(not p.is_zero() for p in v)]
-    return engine.std(vecs, ModuleOrder(order), is_ideal=False)
+def _first_entries(cols):
+    """The nonzero first entries of the syzygies of cols."""
+    return [s[0] for s in syzygies(cols) if not s[0].is_zero()]
 
 
-def module_membership(vector, basis_entries, order):
-    v = polyvec_to_vec(vector)
-    if not v:
-        return True
-    return engine.is_member(v, basis_entries, ModuleOrder(order))
+def module_contains(gens_a, gens_b, order):
+    """Does the (localized) module spanned by gens_a contain every gens_b?
 
-
-def module_contains(gens_a, gens_b, ncomp, order):
-    """Does the (localized) module spanned by gens_a contain every gens_b?"""
-    basis = module_entries(gens_a, ncomp, order)
-    return all(module_membership(v, basis, order) for v in gens_b)
-
-
-def module_equal(gens_a, gens_b, ncomp, order):
-    return module_contains(gens_a, gens_b, ncomp, order) and module_contains(
-        gens_b, gens_a, ncomp, order
+    Locally, v lies in it iff u*v lies in the global module for some u with
+    u(0) != 0: iff a syzygy of (v, gens_a) has a unit first entry.
+    """
+    glob = ModuleOrder(GLOBAL)
+    basis = engine.std([polyvec_to_vec(v) for v in gens_a], glob)
+    return all(
+        engine.is_member(polyvec_to_vec(v), basis, glob)
+        or (not order.is_global and any(a.constant_term() for a in _first_entries([v, *gens_a])))
+        for v in gens_b
     )
 
 
-def ideal_intersect(I, J, order):
+def module_equal(gens_a, gens_b, ncomp, order):
+    """Equality of the modules spanned by gens_a and gens_b; the rank ncomp
+    is read off the vectors."""
+    return module_contains(gens_a, gens_b, order) and module_contains(gens_b, gens_a, order)
+
+
+def ideal_intersect(I, J):
     """I cap J via syzygies of (1,1), (f_i,0), (0,g_j) in rank 2."""
-    ring = I.ring
-    one = ring.one()
-    zero = ring.zero()
-    cols = [[one, one]]
-    cols += [[f, zero] for f in I.gens]
-    cols += [[zero, g] for g in J.gens]
-    gens = []
-    for s in syzygies(cols, order):
-        a = s[0]
-        if not a.is_zero():
-            gens.append(a)
-    return IdealData(ring, gens)
+    one, zero = I.ring.one(), I.ring.zero()
+    cols = [[one, one]] + [[f, zero] for f in I.gens] + [[zero, g] for g in J.gens]
+    return IdealData(I.ring, _first_entries(cols))
 
 
-def _colon_single(I, g, order):
+def _colon_single(I, g):
     """(I : g) via syzygies of (g, f_1, ..., f_k): first coordinates."""
-    ring = I.ring
-    cols = [g] + list(I.gens)
-    gens = []
-    for s in syzygies(cols, order):
-        a = s[0]
-        if not a.is_zero():
-            gens.append(a)
-    if not gens:
-        # g is a nonzerodivisor modulo 0-generated I only when I = 0
-        return IdealData(ring, [])
-    return IdealData(ring, gens)
+    return IdealData(I.ring, _first_entries([g] + list(I.gens)))
 
 
 def ideal_quotient(I, J, order):
@@ -192,7 +199,8 @@ def ideal_quotient(I, J, order):
 
     Locally with I of finite colength, this is I plus the lifted kernel of
     multiplication by the generators of J on the standard-monomial basis of
-    O/I; otherwise an intersection of syzygy colons.
+    O/I; otherwise an intersection of global syzygy colons, which localize to
+    the local ones.
     """
     if J.is_zero():
         raise ZeroIdealQuotientError("quotient by the zero ideal is the whole ring")
@@ -210,32 +218,26 @@ def ideal_quotient(I, J, order):
         return IdealData(I.ring, list(I.gens) + [Polynomial(I.ring, v, _clean=True) for v in kernel])
     result = None
     for g in J.gens:
-        q = _colon_single(I, g, order)
-        result = q if result is None else ideal_intersect(result, q, order)
+        q = _colon_single(I, g)
+        result = q if result is None else ideal_intersect(result, q)
     return result
 
 
-def min_generators(vectors, ncomp, order=LOCAL):
-    """Minimal generating set of a localized module by Nakayama/greedy removal.
+def min_generators(vectors):
+    """Minimal generating set of the localized module spanned by `vectors`.
 
-    A generator is redundant iff it lies in the localized module spanned by
-    the others; greedy removal terminates with a minimal set, whose size is
-    dim_Q(M / mM).  Returns (count, kept_vectors).
+    The global syzygies S of the m nonzero generators generate the local
+    ones, so M/mM = Q^m / colspan S(0).  A generator is kept iff its unit
+    vector is independent of S(0) and of the unit vectors of the later kept
+    ones: the set that greedy removal of the lowest-index redundant generator
+    keeps, of size dim_Q(M/mM).  Returns (count, kept_vectors).
     """
-    kept = [v for v in vectors if any(not p.is_zero() for p in v)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(kept)):
-            others = kept[:i] + kept[i + 1 :]
-            basis = engine.std(
-                [polyvec_to_vec(v) for v in others], ModuleOrder(order), is_ideal=(ncomp == 1)
-            )
-            if engine.is_member(polyvec_to_vec(kept[i]), basis, ModuleOrder(order)):
-                del kept[i]
-                changed = True
-                break
-    return len(kept), kept
+    vecs = [v for v in vectors if any(not p.is_zero() for p in v)]
+    rb = RowBasis(lambda i: -i)
+    for s in syzygies(vecs):
+        rb.insert({i: c for i, p in enumerate(s) if (c := p.constant_term())})
+    kept = [i for i in reversed(range(len(vecs))) if rb.insert({i: Fraction(1)}) is not None]
+    return len(kept), [vecs[i] for i in reversed(kept)]
 
 
 def dim_at_origin(I):

@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from logderiv import engine, ideals
 from logderiv.ideals import IdealData, poly_to_vec, vecs_to_polys
 from logderiv.orders import GLOBAL, LOCAL, GermElimOrder, ModuleOrder
+from logderiv.parse import parse_expr
 from logderiv.poly import Polynomial, Ring
 
 R = Ring(["x", "y"])
@@ -75,6 +77,34 @@ class TestGlobalStd:
         assert ideals.ideal_membership(a * p + b * q, I, GLOBAL)
         assert ideals.ideal_membership(a * p + b * q, I, LOCAL)
 
+    # ideals that are <y> locally, on which Mora's weak normal form of the
+    # combination did not finish
+    @pytest.mark.parametrize(
+        "a, b, p, q",
+        [
+            (
+                "-5/3*x^2*y^3 - 1/4*x^3*y + 1/4*x^3 - 5/4*y",
+                "6*x^3*y^3 + 1/2*x*y^2",
+                "8*y^2",
+                "3/2*x^3*y^2 + 7/4*x^2*y^2 - 3/4*x*y + 5/2*y",
+            ),
+            (
+                "7/2*x^3*y^3 + 3/4*x^2*y + x*y",
+                "-1/3*x^3*y^3 + 1/4*x^2*y^3 - 7*x^3 + 2*x*y",
+                "-3/2*x^3*y^3 - 5/4*y^2 + 2*y",
+                "-1/2*x^3*y^2 + 7/4*x^2*y^2 + 2*x*y^2",
+            ),
+        ],
+        ids=["p=8y^2", "p=y*unit"],
+    )
+    def test_combination_in_locally_principal_ideal(self, a, b, p, q):
+        a, b, p, q = (parse_expr(R, s) for s in (a, b, p, q))
+        I = IdealData(R, [p, q])
+        assert ideals.ideal_membership(a * p + b * q, I, GLOBAL)
+        assert ideals.ideal_membership(a * p + b * q, I, LOCAL)
+        assert ideals.ideal_membership(Y, I, LOCAL)
+        assert not ideals.ideal_membership(X, I, LOCAL)
+
     def test_reduced_nf_is_canonical(self):
         I = IdealData(R, [X**2 - Y])
         p = X**4 + X**2
@@ -138,22 +168,26 @@ class TestSyzygies:
         cols = [g for g in (p, q) if not g.is_zero()]
         if len(cols) < 2:
             return
-        for order in (GLOBAL, LOCAL):
-            for s in ideals.syzygies(cols, order):
-                combo = sum(
-                    (si * gi for si, gi in zip(s, cols)), R.zero()
-                )
-                assert combo.is_zero()
+        for s in ideals.syzygies(cols):
+            combo = sum((si * gi for si, gi in zip(s, cols)), R.zero())
+            assert combo.is_zero()
+
+    def test_syzygies_of_two_units(self):
+        # the local syzygy standard basis of these two units did not finish;
+        # locally their syzygies are free on (q, -p)
+        p = parse_expr(R, "5/2*x^3*y^2 - 2/3*x*y^3 + 2*y^3 + 1/2")
+        q = parse_expr(R, "x^3*y^3 - 5/2*x^3*y + 3/4*x^2 + 2")
+        syz = ideals.syzygies([p, q])
+        for a, b in syz:
+            assert (a * p + b * q).is_zero()
+        assert ideals.module_contains(syz, [[q, -p]], GLOBAL)
+        assert ideals.min_generators(syz)[0] == 1
 
     def test_koszul_syzygy_found(self):
         # the syzygy module of (x, y) is generated by (y, -x)
-        syz = ideals.syzygies([X, Y], GLOBAL)
+        syz = ideals.syzygies([X, Y])
         target = [Y, -X]
-        assert ideals.module_membership(
-            target,
-            ideals.module_entries(syz, 2, GLOBAL),
-            GLOBAL,
-        )
+        assert ideals.module_contains(syz, [target], GLOBAL)
 
 
 class TestMonomialData:

@@ -4,11 +4,19 @@ radical membership over the localization."""
 from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from logderiv import engine, ideals
-from logderiv.ideals import IdealData, ZeroIdealQuotientError, artin_reducer, poly_to_vec
+from logderiv.ideals import (
+    IdealData,
+    ZeroIdealQuotientError,
+    artin_reducer,
+    poly_to_vec,
+    polyvec_to_vec,
+)
 from logderiv.orders import GLOBAL, LOCAL, ModuleOrder
+from logderiv.parse import parse_expr
 from logderiv.poly import Polynomial, Ring
 
 R = Ring(["x", "y"])
@@ -53,17 +61,36 @@ def reduction_budget(steps=2000, bits=512):
         engine.vec_axpy = axpy
 
 
+def greedy_min_generators(vectors):
+    """Reference minimal generators of a localized module: drop the
+    lowest-index generator that the local standard basis of the others
+    contains, and start again until none is redundant."""
+    order = ModuleOrder(LOCAL)
+    kept = [v for v in vectors if any(not p.is_zero() for p in v)]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(kept)):
+            others = kept[:i] + kept[i + 1 :]
+            basis = engine.std([polyvec_to_vec(v) for v in others], order)
+            if engine.is_member(polyvec_to_vec(kept[i]), basis, order):
+                del kept[i]
+                changed = True
+                break
+    return kept
+
+
 class TestIntersect:
     def test_monomial(self):
         I = IdealData(R, [X])
         J = IdealData(R, [Y])
-        K = ideals.ideal_intersect(I, J, GLOBAL)
+        K = ideals.ideal_intersect(I, J)
         assert ideals.ideal_equal(K, IdealData(R, [X * Y]), GLOBAL)
 
     def test_principal(self):
         I = IdealData(R, [X * (X + Y)])
         J = IdealData(R, [Y * (X + Y)])
-        K = ideals.ideal_intersect(I, J, GLOBAL)
+        K = ideals.ideal_intersect(I, J)
         assert ideals.ideal_equal(K, IdealData(R, [X * Y * (X + Y)]), GLOBAL)
 
     @HYPO
@@ -71,7 +98,7 @@ class TestIntersect:
     def test_contained_in_both(self, p, q):
         I = IdealData(R, [p])
         J = IdealData(R, [q])
-        K = ideals.ideal_intersect(I, J, GLOBAL)
+        K = ideals.ideal_intersect(I, J)
         for g in K.gens:
             assert ideals.ideal_membership(g, I, GLOBAL)
             assert ideals.ideal_membership(g, J, GLOBAL)
@@ -115,6 +142,35 @@ class TestColon:
         Q = ideals.ideal_quotient(I, IdealData(R, [g]), LOCAL)
         for h in Q.gens:
             assert ideals.ideal_membership(h * g, I, LOCAL)
+
+    # positive-dimensional colons on which Mora's weak normal form or the local
+    # syzygy standard basis did not finish: I is <y>, and then <y^2>, locally
+    @pytest.mark.parametrize(
+        "p, q, g, local",
+        [
+            (
+                "x^3*y^3 + 5/3*x^2*y + 4/3*y^3",
+                "-x^2*y^3 + 4*y^2 - 3*y",
+                "-2/3*x^3*y^3 - 3*x^3*y - 4*x^3",
+                "y",
+            ),
+            (
+                "-1/4*x^3*y^3 - 5/2*y^3 - 3/4*y^2",
+                "x^3*y^3 + 9*x*y^3 + y^2",
+                "-x^2*y^3 + 5*x^2 - 7/4*y^2",
+                "y^2",
+            ),
+        ],
+        ids=["locally-y", "locally-y^2"],
+    )
+    def test_colon_of_locally_principal_ideal(self, p, q, g, local):
+        p, q, g, local = (parse_expr(R, s) for s in (p, q, g, local))
+        I = IdealData(R, [p, q])
+        Q = ideals.ideal_quotient(I, IdealData(R, [g]), LOCAL)
+        for h in Q.gens:
+            assert ideals.ideal_membership(h * g, I, LOCAL)
+        assert ideals.ideal_equal(I, IdealData(R, [local]), LOCAL)
+        assert ideals.ideal_equal(Q, IdealData(R, [local]), LOCAL)
 
     # three Artinian colons whose syzygy computation under Mora's normal form
     # did not finish: in the first and third I is the unit ideal locally
@@ -167,16 +223,69 @@ class TestMinGenerators:
     @HYPO
     @given(st.lists(polys, min_size=1, max_size=4))
     def test_same_set_as_greedy_removal(self, extra):
-        # the module path (greedy removal by local standard bases) keeps the
-        # same generators as the row reduction in I/mI
+        # the row reduction in I/mI, the module syzygies at the origin and
+        # greedy removal by local standard bases keep the same generators
         gens = [X**2, Y**3] + [p for p in extra if not p.is_zero()]
         I = IdealData(R, gens)
+        vectors = [[g] for g in I.gens]
         try:
             with reduction_budget():
-                _, kept = ideals.min_generators([[g] for g in I.gens], 1)
+                greedy = greedy_min_generators(vectors)
         except _OverBudget:
             reject()
-        assert ideals.kept_generators(I) == [v[0] for v in kept]
+        _, kept = ideals.min_generators(vectors)
+        assert ideals.kept_generators(I) == [v[0] for v in kept] == [v[0] for v in greedy]
+
+    @HYPO
+    @given(
+        st.lists(st.tuples(polys, polys), min_size=1, max_size=3),
+        polys,
+        polys,
+        polys,
+        st.integers(0, 3),
+    )
+    def test_module_same_set_as_greedy_removal(self, gens, a, b, s, k):
+        # rank-2 modules with a redundant combination a*v_0 + b*v_1 inserted
+        # at position k, and the unit multiple (1 + x*s)*v_0 at the end
+        v0, v1 = gens[0], gens[-1]
+        vectors = [list(v) for v in gens]
+        vectors.insert(min(k, len(vectors)), [a * p + b * q for p, q in zip(v0, v1)])
+        vectors.append([(1 + X * s) * p for p in v0])
+        try:
+            with reduction_budget():
+                expected = greedy_min_generators(vectors)
+        except _OverBudget:
+            reject()
+        count, kept = ideals.min_generators(vectors)
+        assert kept == expected
+        assert count == len(expected)
+
+
+class TestLocalMembership:
+    """Colon-based membership in a positive-dimensional germ against Mora's
+    normal form, on ideals <h*p*(1 + x*s), h*q> inside <h>.  Examples where
+    either side goes over the reduction budget are rejected: Mora's normal
+    form runs away on some germs, and the global syzygies of the colon on
+    others (coefficient growth in the global engine)."""
+
+    @HYPO
+    @given(st.sampled_from(["x", "y", "x + y", "x - y^2", "x*y"]), polys, polys, polys, polys)
+    def test_same_as_mora(self, h, p, q, r, s):
+        h = parse_expr(R, h)
+        I = IdealData(R, [h * p * (1 + X * s), h * q])
+        candidates = [h * p, h * (p + r * q), r, h * r]
+        order = ModuleOrder(LOCAL)
+        try:
+            with reduction_budget():
+                basis = I.basis_entries(LOCAL)
+                expected = [engine.is_member(poly_to_vec(c), basis, order) for c in candidates]
+            with reduction_budget():
+                found = [ideals.ideal_membership(c, I, LOCAL) for c in candidates]
+        except _OverBudget:
+            reject()
+        assert ideals.colength(I) is None
+        assert found == expected
+        assert expected[0]
 
 
 class TestArtinReducer:
@@ -215,7 +324,7 @@ class TestMoraAgainstRowReduction:
             with reduction_budget():
                 basis = I.basis_entries(LOCAL)
                 in_mora = engine.is_member(poly_to_vec(h), basis, ModuleOrder(LOCAL))
-                S = ideals._colon_single(I, g, LOCAL)
+                S = ideals._colon_single(I, g)
         except _OverBudget:
             reject()
         mora = engine.standard_monomials(engine.leading_exponents(basis), 2)

@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logderiv import cli
+from logderiv import cli, divisors
 from logderiv.cli import main, to_jsonable
 from logderiv.parse import ParseError, parse_expr, parse_input
 from logderiv.poly import CertificationError, Polynomial, Ring
@@ -211,7 +211,8 @@ class TestCLI:
 
 class TestArtinianGerms:
     """Commands on finite-colength quotients that ran away in Mora's standard
-    basis, the syzygy colon or the Rabinowitsch basis."""
+    basis, the syzygy colon, the Rabinowitsch basis or the greedy local
+    minimal generators."""
 
     def _json(self, capsys, argv, code=0):
         assert main(argv + ["--json"]) == code
@@ -238,6 +239,36 @@ class TestArtinianGerms:
         assert cert["colength"] == 11
         assert cert["min_generators"] == 2
         assert cert["complete_intersection"]
+
+    @pytest.mark.parametrize("curve", PLANE_CURVES)
+    def test_plane_curve_derlog(self, problem, capsys, curve):
+        cert = self._json(capsys, ["derlog", problem("ring: x, y\n" + curve)])
+        assert len(cert["generators"]) == 5
+        assert cert["min_generators"] == 2
+        assert cert["minimal_set"] == cert["generators"][3:]
+
+    @pytest.mark.parametrize("curve", PLANE_CURVES)
+    def test_plane_curve_free(self, problem, capsys, curve):
+        self._json(capsys, ["free", problem("ring: x, y\n" + curve)])
+        cert = self._json(capsys, ["theorem-b", problem("ring: x, y\n" + curve)])
+        assert cert["colength"] == 11
+
+    def test_swallowtail_hessian_socle_one_derlog(self, problem, capsys, monkeypatch):
+        calls = []
+        syzygy_derlog = divisors.syzygy_derlog
+
+        def counted(D):
+            calls.append(D)
+            return syzygy_derlog(D)
+
+        monkeypatch.setattr(divisors, "syzygy_derlog", counted)
+        cert = self._json(capsys, ["hessian-socle", problem(SWALLOWTAIL)])
+        assert len(calls) == 1
+        assert cert == {
+            "delta": "x^3*y^2 - 4*x^4*z + 27/4*y^4 - 36*x*y^2*z + 32*x^2*z^2 - 64*z^3",
+            "hessian_in_socle": True,
+            "saito_ideal_equality": True,
+        }
 
 
 class TestExplicitTheta:
