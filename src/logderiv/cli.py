@@ -168,15 +168,18 @@ def run(command, pf, args):
         return v.ok, cert, v.diagnostics
 
     if command == "theorem-a":
+        try:
+            cfg = SampleConfig(
+                seed=args.seed, coeff_bound=args.coeff_bound, retries=args.retries
+            )
+        except ValueError as e:
+            raise InputError(str(e)) from None
         D = _divisor(pf, command)
         basis = _require(pf, "gamma_space", command)
         try:
             space = GammaSpace(basis)
         except ValueError as e:
             raise PreconditionFailure(str(e)) from None
-        cfg = SampleConfig(
-            seed=args.seed, coeff_bound=args.coeff_bound, retries=args.retries
-        )
         theta, _ = _derivations(pf, D)
         v = theorem_a_probe(D, space, cfg, theta=theta)
         return v.ok, v.certificate, v.diagnostics
@@ -277,6 +280,8 @@ def run(command, pf, args):
         return v.ok, v.certificate, v.diagnostics
 
     if command == "oracle-check":
+        if args.jet_cutoff < 0:
+            raise InputError("--jet-cutoff must be >= 0")
         D = _divisor(pf, command)
         checks = {"derlog_jets": cross_check_derlog(D, 2)}
         diagnostics = list(checks["derlog_jets"].diagnostics)

@@ -54,6 +54,7 @@ class DivisorGerm:
         self.f = f
         self._principal = None
         self._reducedness = None
+        self._derlog = None
 
     def principal_ideal(self):
         if self._principal is None:
@@ -146,16 +147,19 @@ def reducedness_check(D):
 
 
 def derlog(D):
-    """Generators of Der(-log D) = {delta : delta(f) in <f>}.
+    """Generators of Der(-log D) = {delta : delta(f) in <f>}, computed once per germ.
 
     The homogeneous basis of `graded_derlog` when it certifies one, else the
     generators of `syzygy_derlog`.  Either set generates the module over the
     polynomial ring, hence also the localized module.
     """
-    gens = graded_derlog(D)
-    if gens is None:
-        gens = syzygy_derlog(D)
-    return DerivationModule(D, gens, is_full_derlog=True, check_tangency=False)
+    if D._derlog is None:
+        # the generators only: a module on the germ would refer back to it,
+        # and the cycle would wait for the garbage collector
+        D._derlog = graded_derlog(D)
+        if D._derlog is None:
+            D._derlog = syzygy_derlog(D)
+    return DerivationModule(D, D._derlog, is_full_derlog=True, check_tangency=False)
 
 
 def syzygy_derlog(D):
@@ -268,7 +272,9 @@ def _row_to_derivation(ring, row):
 def apply_derivs(theta, gamma):
     """The ideal Theta(gamma) = < delta(gamma) : delta in Theta >.
 
-    Generator order matches theta.gens so preimages can be recovered by index.
+    Its generators are the nonzero images, in the order of theta.gens; a
+    derivation that maps gamma to 0 leaves no generator, so a generator's
+    index need not be its derivation's (see `theorem_b_check`).
     """
     ring = gamma.ring
     return IdealData(ring, [apply_derivation(d, gamma) for d in theta.gens])

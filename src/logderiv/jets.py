@@ -1,19 +1,20 @@
 """Brute-force jet oracle: truncated-degree linear algebra over exact rationals.
 
 Exists solely to be obviously correct; it revalidates the symbolic engines
-(derlog, colength) by independent means on bounded-degree data.
+(derlog, colength) by independent means on bounded-degree data.  Every
+linear system is a set of sparse rows over (component, monomial) or monomial
+columns, reduced by `exactla`; the column key of derivations is the one of
+`divisors`, so a row means the same thing on both sides of a cross-check.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from logderiv import ideals
-from logderiv.divisors import Verdict, derlog
+from logderiv.divisors import Verdict, _deriv_key, _row_to_derivation, _shift, derlog
 from logderiv.exactla import RowBasis, nullspace
 from logderiv.ideals import monomials_below
 from logderiv.orders import LOCAL
-from logderiv.poly import Polynomial
+from logderiv.poly import jacobian_gens
 
 
 class JetBasis:
@@ -27,127 +28,65 @@ class JetBasis:
     def __len__(self):
         return len(self.derivations)
 
-    def coefficient_rows(self):
-        """Each derivation as a sparse row over (component, monomial) columns."""
-        rows = []
-        for d in self.derivations:
-            row = {}
-            for i, p in enumerate(d):
-                for m, c in p.terms.items():
-                    row[(i, m)] = c
-            rows.append(row)
-        return rows
 
-
-def _deriv_colkey(col):
-    i, m = col
-    return (-i, LOCAL.key(m))
+def _rows(derivations):
+    """Each derivation as a sparse row over (component, monomial) columns."""
+    return [{(i, m): c for i, p in enumerate(d) for m, c in p.terms.items()} for d in derivations]
 
 
 def jet_derlog(D, d):
     """All derivations with coefficient degree <= d tangent to the divisor.
 
     Solves delta(f) - c*f = 0 as one exact linear system in the coefficients
-    of (a_1, ..., a_n) (degree <= d) and the cofactor c (degree <= d-1).
-    The truncation of c can only under-approximate; the cross-check
+    of (a_1, ..., a_n) (degree <= d, columns (i, m)) and the cofactor c
+    (degree <= d-1, columns (n, m)), then projects the nullspace to the
+    a-part.  The truncation of c can only under-approximate; the cross-check
     compensates by restricting both sides to degree <= d.
     """
     if d < 0:
         raise ValueError("degree bound must be >= 0")
-    ring = D.ring
-    n = ring.n
     f = D.f
-    grads = [f.diff(i) for i in range(n)]
+    n = D.ring.n
     a_mons = monomials_below(n, d + 1)
-    c_mons = monomials_below(n, d) if d >= 1 else []
-
-    # unknown labels: ("a", i, mono) and ("c", mono)
-    unknowns = [("a", i, m) for i in range(n) for m in a_mons]
-    unknowns += [("c", m) for m in c_mons]
-
-    # equations: one per monomial of delta(f) - c*f
-    eqs = {}
-
-    def add(eq_mono, unknown, coeff):
-        row = eqs.setdefault(eq_mono, {})
-        row[unknown] = row.get(unknown, Fraction(0)) + coeff
-        if not row[unknown]:
-            del row[unknown]
-
-    for i in range(n):
-        for am in a_mons:
-            for gm, gc in grads[i].terms.items():
-                add(tuple(x + y for x, y in zip(am, gm)), ("a", i, am), gc)
-    for cm in c_mons:
+    c_mons = monomials_below(n, d)
+    eqs = {}  # monomial of delta(f) - c*f -> row over the unknowns
+    for i, g in enumerate(jacobian_gens(f)):
+        for m in a_mons:
+            for gm, gc in g.terms.items():
+                eqs.setdefault(_shift(m, gm), {})[(i, m)] = gc
+    for m in c_mons:
         for fm, fc in f.terms.items():
-            add(tuple(x + y for x, y in zip(cm, fm)), ("c", cm), -fc)
-
-    def unknown_key(u):
-        if u[0] == "a":
-            return (1, -u[1], LOCAL.key(u[2]))
-        return (0, 0, LOCAL.key(u[1]))
-
-    sols = nullspace(list(eqs.values()), unknowns, unknown_key)
-
-    # project to the a-part and re-reduce to an independent basis
-    rb = RowBasis(_deriv_colkey)
+            eqs.setdefault(_shift(m, fm), {})[(n, m)] = -fc
+    columns = [(i, m) for i in range(n) for m in a_mons] + [(n, m) for m in c_mons]
+    rb = RowBasis(_deriv_key)
     derivations = []
-    for s in sols:
-        row = {(u[1], u[2]): c for u, c in s.items() if u[0] == "a"}
-        if not row:
-            continue
-        if rb.insert(dict(row)) is None:
-            continue
-        vec = [dict() for _ in range(n)]
-        for (i, m), c in row.items():
-            vec[i][m] = c
-        derivations.append([Polynomial(ring, t, _clean=True) for t in vec])
-    return JetBasis(ring, d, derivations)
+    for sol in nullspace(list(eqs.values()), columns, _deriv_key):
+        row = {col: c for col, c in sol.items() if col[0] < n}
+        if rb.insert(row) is not None:
+            derivations.append(_row_to_derivation(D.ring, row))
+    return JetBasis(D.ring, d, derivations)
 
 
 def jet_colength(I, cutoff):
     """Colength by truncated row reduction; None if not stabilized.
 
-    Rows are the monomial multiples m*g with deg m <= cutoff, columns ordered
-    by the local order (lowest degree first).  The least k such that every
-    degree-k monomial reduces to a residual supported entirely in degrees > k
-    certifies m^k <= I + m^(k+1), hence m^k lies in the ideal locally
-    (Nakayama).  The quotient is then span(monomials of degree < k) modulo
-    the rows with degree-(>= k) tails dropped, counted by rank.
+    Rows are the multiples m*g with deg m <= cutoff, cut above degree cutoff,
+    with columns in the local order, so the pivot of a reduced row is its
+    lowest-degree term.  The least k <= cutoff whose monomials are all pivots
+    is the least k such that every degree-k monomial reduces into degrees
+    > k: m^k <= I + m^(k+1), hence m^k lies in the ideal locally (Nakayama).
+    The rows cut below degree k span the image of I there, whose pivots are
+    exactly the pivots of degree < k; the colength counts the others.
     """
-    n = I.ring.n
+    mons = monomials_below(I.ring.n, cutoff + 1)
     rb = RowBasis(LOCAL.key)
-    multiples = []
     for g in I.gens:
-        for m in monomials_below(n, cutoff + 1):
-            row = {
-                tuple(x + y for x, y in zip(e, m)): c for e, c in g.terms.items()
-            }
-            multiples.append(row)
-            rb.insert(dict(row))
-
-    k = None
-    for cand in range(cutoff + 1):
-        covered = True
-        for mu in monomials_below(n, cand + 1):
-            if sum(mu) != cand:
-                continue
-            residual = rb.reduce({mu: Fraction(1)})
-            if any(sum(e) <= cand for e in residual):
-                covered = False
-                break
-        if covered:
-            k = cand
-            break
-    if k is None:
-        return None
-    if k == 0:
-        return 0
-
-    trunc = RowBasis(LOCAL.key)
-    for row in multiples:
-        trunc.insert({e: c for e, c in row.items() if sum(e) < k})
-    return len(monomials_below(n, k)) - trunc.rank
+        for m in mons:
+            rb.insert({_shift(e, m): c for e, c in g.terms.items() if sum(e) + sum(m) <= cutoff})
+    for k in range(cutoff + 1):
+        if all(mu in rb.pivots for mu in mons if sum(mu) == k):
+            return sum(mu not in rb.pivots for mu in mons if sum(mu) < k)
+    return None
 
 
 def cross_check_derlog(D, d):
@@ -159,19 +98,10 @@ def cross_check_derlog(D, d):
     jets_in_module = ideals.module_contains(theta.gens, jets.derivations, LOCAL)
 
     # symbolic generators of coefficient degree <= d must lie in the jet span
-    rb = RowBasis(_deriv_colkey)
-    rb.extend(jets.coefficient_rows())
-    gens_in_jets = True
-    for g in theta.gens:
-        if max((p.total_degree() for p in g), default=-1) > d:
-            continue
-        row = {}
-        for i, p in enumerate(g):
-            for m, c in p.terms.items():
-                row[(i, m)] = c
-        if not rb.contains(row):
-            gens_in_jets = False
-            break
+    rb = RowBasis(_deriv_key)
+    rb.extend(_rows(jets.derivations))
+    low = [g for g in theta.gens if max((p.total_degree() for p in g), default=-1) <= d]
+    gens_in_jets = all(rb.contains(row) for row in _rows(low))
 
     ok = jets_in_module and gens_in_jets
     return Verdict(

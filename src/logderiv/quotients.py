@@ -17,7 +17,6 @@ from logderiv import ideals
 from logderiv.divisors import (
     Verdict,
     apply_derivation,
-    apply_derivs,
     derlog,
     saito_free_check,
     saito_matrix,
@@ -221,7 +220,8 @@ def theorem_b_check(D, theta, gamma):
     milnor = ideals.colength(J)
     if milnor is None:
         failures.append("gamma does not have an isolated critical point")
-    Tg = apply_derivs(theta, gamma)
+    images = [apply_derivation(d, gamma) for d in theta.gens]
+    Tg = IdealData(ring, images)  # Theta(gamma): the nonzero images
     ci = ci_check(Tg)
     if not ci.ok:
         failures.append("Theta(gamma) is not an Artinian complete intersection")
@@ -238,8 +238,9 @@ def theorem_b_check(D, theta, gamma):
     ]
     free = all(memberships)
 
-    # lift the minimal generating subset of Theta(gamma) back to Theta
-    basis = [theta.gens[Tg.gens.index(g)] for g in ci.certificate["gens"]]
+    # lift the minimal generating subset of Theta(gamma) back to Theta, by
+    # the index among all images: Tg.gens has no zero images to keep in step
+    basis = [theta.gens[images.index(g)] for g in ci.certificate["gens"]]
 
     saito = saito_free_check(D, derlog(D) if not theta.is_full_derlog else theta)
     agreement = saito.ok == free

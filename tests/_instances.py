@@ -1,8 +1,10 @@
-"""Seeded random instance generators shared between test modules."""
+"""Seeded random instance generators and the reduction budget shared between
+test modules."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 
-from logderiv import ideals
+from logderiv import engine, ideals
 from logderiv.ideals import IdealData
 from logderiv.poly import PolyMatrix, Ring, jacobian_gens
 
@@ -11,6 +13,35 @@ _RINGS = {
     2: Ring(["x", "y"]),
     3: Ring(["x", "y", "z"]),
 }
+
+
+class OverBudget(Exception):
+    pass
+
+
+@contextmanager
+def reduction_budget(steps=2000, bits=512):
+    """Stop the standard-basis engine after `steps` reduction steps, or at a
+    coefficient wider than `bits` bits."""
+    axpy = engine.vec_axpy
+    done = 0
+
+    def counted(*args):
+        nonlocal done
+        done += 1
+        out = axpy(*args)
+        if done > steps or any(
+            max(q.numerator.bit_length(), q.denominator.bit_length()) > bits
+            for q in out.values()
+        ):
+            raise OverBudget
+        return out
+
+    engine.vec_axpy = counted
+    try:
+        yield
+    finally:
+        engine.vec_axpy = axpy
 
 
 def random_wiebe_instance(rng):

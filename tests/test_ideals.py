@@ -1,12 +1,12 @@
 """Ideal operations: intersection, colon, minimal generators, Artin data,
 radical membership over the localization."""
 
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
+from _instances import OverBudget, reduction_budget
 from logderiv import engine, ideals
 from logderiv.ideals import (
     IdealData,
@@ -30,35 +30,6 @@ monos = st.tuples(st.integers(0, 3), st.integers(0, 3))
 polys = st.dictionaries(monos, coeffs, min_size=1, max_size=3).map(
     lambda d: Polynomial(R, dict(d))
 )
-
-
-class _OverBudget(Exception):
-    pass
-
-
-@contextmanager
-def reduction_budget(steps=2000, bits=512):
-    """Stop the standard-basis engine after `steps` reduction steps, or at a
-    coefficient wider than `bits` bits."""
-    axpy = engine.vec_axpy
-    done = 0
-
-    def counted(*args):
-        nonlocal done
-        done += 1
-        out = axpy(*args)
-        if done > steps or any(
-            max(q.numerator.bit_length(), q.denominator.bit_length()) > bits
-            for q in out.values()
-        ):
-            raise _OverBudget
-        return out
-
-    engine.vec_axpy = counted
-    try:
-        yield
-    finally:
-        engine.vec_axpy = axpy
 
 
 def greedy_min_generators(vectors):
@@ -231,7 +202,7 @@ class TestMinGenerators:
         try:
             with reduction_budget():
                 greedy = greedy_min_generators(vectors)
-        except _OverBudget:
+        except OverBudget:
             reject()
         _, kept = ideals.min_generators(vectors)
         assert ideals.kept_generators(I) == [v[0] for v in kept] == [v[0] for v in greedy]
@@ -254,7 +225,7 @@ class TestMinGenerators:
         try:
             with reduction_budget():
                 expected = greedy_min_generators(vectors)
-        except _OverBudget:
+        except OverBudget:
             reject()
         count, kept = ideals.min_generators(vectors)
         assert kept == expected
@@ -281,7 +252,7 @@ class TestLocalMembership:
                 expected = [engine.is_member(poly_to_vec(c), basis, order) for c in candidates]
             with reduction_budget():
                 found = [ideals.ideal_membership(c, I, LOCAL) for c in candidates]
-        except _OverBudget:
+        except OverBudget:
             reject()
         assert ideals.colength(I) is None
         assert found == expected
@@ -325,7 +296,7 @@ class TestMoraAgainstRowReduction:
                 basis = I.basis_entries(LOCAL)
                 in_mora = engine.is_member(poly_to_vec(h), basis, ModuleOrder(LOCAL))
                 S = ideals._colon_single(I, g)
-        except _OverBudget:
+        except OverBudget:
             reject()
         mora = engine.standard_monomials(engine.leading_exponents(basis), 2)
         red = artin_reducer(I)

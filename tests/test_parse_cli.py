@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from logderiv import cli, divisors
 from logderiv.cli import main, to_jsonable
 from logderiv.parse import ParseError, parse_expr, parse_input
-from logderiv.poly import CertificationError, Polynomial, Ring
+from logderiv.poly import CertificationError, Polynomial, Ring, exact_div
 
 R = Ring(["x", "y"])
 X, Y = R.gens()
@@ -34,6 +34,12 @@ f: x*y*(x+y)*(x-y)*(y-x*z)
 gamma: x^2 + y^2 + z^2
 gamma_space: x^2; y^2; z^2
 locus: x, y
+"""
+
+A3 = """\
+ring: x, y, z
+f: x*y*z*(x-y)*(x-z)*(y-z)
+gamma: x^2 + y^2 + z^2
 """
 
 SWALLOWTAIL = """\
@@ -194,6 +200,71 @@ class TestCLI:
         main(["theorem-a", whit, "--json", "--seed", "17"])
         rep = json.loads(capsys.readouterr().out)
         assert rep["seed"] == 17
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("theorem-a", "--retries", "0"),
+            ("theorem-a", "--coeff-bound", "-5"),
+            ("oracle-check", "--jet-cutoff", "-1"),
+        ],
+    )
+    def test_out_of_range_flag_is_input_error(self, problem, capsys, command, flag, value):
+        assert main([command, problem(WHITNEY), flag, value, "--json"]) == 3
+        captured = capsys.readouterr()
+        rep = json.loads(captured.out)
+        jsonschema.validate(rep, SCHEMA)
+        assert rep["verdict"] is None and rep["certificate"] is None
+        assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "text, calls",
+        [
+            (A3, {"graded_derlog": 1}),
+            (QUINTIC, {"graded_derlog": 1, "syzygy_derlog": 1}),
+        ],
+        ids=["a3", "quintic"],
+    )
+    def test_oracle_check_one_derlog(self, problem, capsys, monkeypatch, text, calls):
+        # Der(-log D) is computed once per germ, though both the jet
+        # cross-check and Theta(gamma) use it
+        seen = {}
+        for name in calls:
+            def counted(D, _name=name, _fn=getattr(divisors, name)):
+                seen[_name] = seen.get(_name, 0) + 1
+                return _fn(D)
+
+            monkeypatch.setattr(divisors, name, counted)
+        assert main(["oracle-check", problem(text), "--json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert seen == calls
+        jet = {A3: 24, QUINTIC: None}[text]
+        assert rep["certificate"] == {
+            "colength_jets": {"jet": jet, "symbolic": jet, "verdict": True},
+            "derlog_jets": {
+                "generators_in_jet_span": True,
+                "jet_dimension": 5,
+                "jets_in_module": True,
+                "verdict": True,
+            },
+        }
+
+    @pytest.mark.parametrize("first", ["x*y^2, -x^2*y, 0", "0, 0, 0"])
+    def test_theorem_b_basis_after_zero_image(self, problem, capsys, first):
+        # the first derivation maps gamma to 0, so Theta(gamma) has no
+        # generator for it; the basis must still lift the kept generators
+        R3 = Ring(["x", "y", "z"])
+        x, y, z = R3.gens()
+        f, gamma = x * y * z, x**2 + y**2 + z**2
+        theta = f"({first}); (x, 0, 0); (0, y, 0); (0, 0, z)"
+        path = problem(f"ring: x, y, z\nf: x*y*z\ngamma: x^2 + y^2 + z^2\ntheta: {theta}\n")
+        assert main(["theorem-b", path, "--json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        jsonschema.validate(rep, SCHEMA)
+        basis = [[parse_expr(R3, c) for c in d] for d in rep["certificate"]["basis"]]
+        assert [divisors.apply_derivation(d, gamma) for d in basis] == [2 * x**2, 2 * y**2, 2 * z**2]
+        u = exact_div(divisors.saito_matrix(basis, R3).det(), f)
+        assert u is not None and u.constant_term() != 0
 
     def test_subprocess_determinism(self, problem):
         whit = problem(WHITNEY)

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import logderiv
+from logderiv import engine, ideals
 
 SRC = Path(logderiv.__file__).parent
 
@@ -42,3 +43,30 @@ def test_mora_only_inside_normal_form():
             if (path.name, scope) != ("engine.py", "normal_form")
         ]
     assert not found, f"mora_nf named outside engine.normal_form: {found}"
+
+
+def test_jet_oracle_apart_from_the_checked_path():
+    # the jet oracle re-derives Der(-log D) and the colength by its own
+    # linear algebra: it names nothing of the engine, nothing of ideals but
+    # the monomial list, and none of the paths it checks
+    def own(module):
+        defined = {n for n, v in vars(module).items() if getattr(v, "__module__", None) == module.__name__}
+        return defined | {module.__name__.rpartition(".")[2]}
+
+    banned = own(engine) | own(ideals) - {"monomials_below"}
+    banned |= {"graded_derlog", "_graded_piece", "syzygy_derlog"}
+    banned |= {"_settle", "_build_rowbasis", "artin_reducer", "LocalArtinReducer"}
+    tree = ast.parse((SRC / "jets.py").read_text(encoding="utf-8"))
+    oracle = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("jet_derlog", "jet_colength")
+    ]
+    assert len(oracle) == 2
+    found = [
+        f"jets.py:{line} in {scope}: {name}"
+        for node in oracle
+        for name in sorted(banned)
+        for scope, line in _references(node, name)
+    ]
+    assert not found, f"the jet oracle names the path it checks: {found}"
