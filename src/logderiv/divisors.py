@@ -11,6 +11,7 @@ reduced a basis is first sought degree by degree by exact linear algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from logderiv import ideals
 from logderiv.exactla import RowBasis, nullspace
@@ -55,6 +56,7 @@ class DivisorGerm:
         self._principal = None
         self._reducedness = None
         self._derlog = None
+        self._saito = None  # (basis, det, cofactor) certified by graded_derlog
 
     def principal_ideal(self):
         if self._principal is None:
@@ -121,13 +123,28 @@ def saito_matrix(derivs, ring):
 
 
 def reducedness_check(D):
-    """f is reduced iff the singular locus of V(f) has codimension >= 2 in it.
+    """f is reduced iff it is squarefree (characteristic 0).
 
-    Char-0 criterion: dim V(f, df/dx_1, ..., df/dx_n) <= n - 2, computed from
-    a global Groebner basis.
+    A squarefree restriction to a line certifies it (`_squarefree_on_line`),
+    on the first of a few fixed lines that does.  If none does, the singular
+    locus decides (`_singular_locus_check`); only that path says "not
+    reduced".
     """
-    ring = D.ring
-    sing = IdealData(ring, [D.f] + jacobian_gens(D.f))
+    for a, b in _trial_lines(D.ring.n):
+        if _squarefree_on_line(D.f, a, b):
+            return Verdict(
+                True,
+                certificate={"squarefree_line": (a, b)},
+                diagnostics=[f"f(a + t*b) is squarefree for a = {a}, b = {b}: reduced"],
+            )
+    return _singular_locus_check(D.f)
+
+
+def _singular_locus_check(f):
+    """f is reduced iff dim V(f, df/dx_1, ..., df/dx_n) <= n - 2, computed
+    from a global Groebner basis; the certificate is the dimension."""
+    ring = f.ring
+    sing = IdealData(ring, [f] + jacobian_gens(f))
     basis = sing.basis_entries(GLOBAL)
     from logderiv import engine
 
@@ -144,6 +161,84 @@ def reducedness_check(D):
             f"dim V(f, jacobian) = {dim}; reduced iff <= {ring.n - 2}"
         ],
     )
+
+
+# lines tried before the Groebner basis: a reduced f fails only on a line
+# through a singular point of V(f) or tangent to it, or on a direction where
+# the top-degree form of f vanishes
+TRIAL_LINES = 3
+
+
+def _trial_lines(n):
+    """TRIAL_LINES fixed lines a + t*b in n variables, as integer tuples (a, b).
+
+    Base points of odd primes with alternating signs, directions 1, 2, 4, 7,
+    11, ... shifted by the line's index: entries on which no small linear
+    form is likely to vanish.
+    """
+    primes = []
+    m = 3
+    while len(primes) < n + TRIAL_LINES:
+        if all(m % p for p in primes):
+            primes.append(m)
+        m += 2
+    return [
+        (
+            tuple((-1) ** i * primes[i + k] for i in range(n)),
+            tuple(1 + k + i * (i + 1) // 2 for i in range(n)),
+        )
+        for k in range(TRIAL_LINES)
+    ]
+
+
+def _squarefree_on_line(f, a, b):
+    """Does f(a + t*b) keep the degree of f and have no repeated root?
+
+    Then f is squarefree: a square factor g^2 of f would restrict to the
+    square of a polynomial of degree deg g >= 1 in t, because the top-degree
+    form of f, the product of those of its factors, does not vanish at b.
+    """
+    # (a_i + t*b_i)^k, coefficients in t from degree 0 up
+    powers = [[[Fraction(1)]] for _ in a]
+    for m in f.terms:
+        for i, k in enumerate(m):
+            while len(powers[i]) <= k:
+                powers[i].append(_mul_univariate(powers[i][-1], [a[i], b[i]]))
+    p = [Fraction(0)] * (f.total_degree() + 1)
+    for m, c in f.terms.items():
+        q = [c]
+        for i, k in enumerate(m):
+            if k:
+                q = _mul_univariate(q, powers[i][k])
+        for j, v in enumerate(q):
+            p[j] += v
+    if not p[-1]:
+        return False
+    dp = [j * v for j, v in enumerate(p)][1:]
+    return _gcd_degree(p, dp) == 0
+
+
+def _mul_univariate(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, u in enumerate(p):
+        for j, v in enumerate(q):
+            out[i + j] += u * v
+    return out
+
+
+def _gcd_degree(p, q):
+    """Degree of gcd(p, q) over Q, for coefficient lists from degree 0 up
+    with a nonzero last entry; Euclid's algorithm."""
+    while q:
+        while len(p) >= len(q):
+            c = p[-1] / q[-1]
+            s = len(p) - len(q)
+            for j, v in enumerate(q):
+                p[s + j] -= c * v
+            while p and not p[-1]:
+                p.pop()
+        p, q = q, p
+    return len(p) - 1
 
 
 def derlog(D):
@@ -232,7 +327,9 @@ def graded_derlog(D):
     criterion); a free module has exactly n minimal generators, so otherwise
     it is not free.  None on more than n generators, a degree sum above
     deg f, or no basis by degree deg f.  Listed from the highest degree to
-    the lowest, component 0 first within a degree.
+    the lowest, component 0 first within a degree.  The certified basis,
+    with its determinant and cofactor, is kept on the germ for
+    `saito_free_check`.
     """
     f = D.f
     if not f.is_homogeneous() or not D.reducedness().ok:
@@ -248,16 +345,19 @@ def graded_derlog(D):
             for s in _monomials_of_degree(n, d - dg):
                 span.insert({(i, _shift(m, s)): c for (i, m), c in row.items()})
         piece = _graded_piece(f, grads, d)
-        for piv in sorted(piece.pivots, key=_deriv_key):
-            if span.insert(piece.pivots[piv]) is not None:
-                kept.append((d, piece.pivots[piv]))
+        for piv in sorted(piece.pivot_columns, key=_deriv_key):
+            row = piece.row(piv)
+            if span.insert(row) is not None:
+                kept.append((d, row))
         if len(kept) > n or sum(dg for dg, _ in kept) > e:
             return None
         if len(kept) == n:
             gens = [_row_to_derivation(ring, row) for _, row in reversed(kept)]
-            u = exact_div(saito_matrix(gens, ring).det(), f)
+            det = saito_matrix(gens, ring).det()
+            u = exact_div(det, f)
             if u is None or u.is_zero() or not u.is_constant():
                 return None
+            D._saito = (gens, det, u)
             return gens
     return None
 
@@ -320,8 +420,11 @@ def saito_free_check(D, theta):
             diagnostics=[f"Der(-log D) needs {count} > {n} generators: not free"],
         )
     M = saito_matrix(kept, ring)
-    det = M.det()
-    u = exact_div(det, D.f)
+    if D._saito is not None and D._saito[0] == kept:
+        _, det, u = D._saito  # the basis graded_derlog certified
+    else:
+        det = M.det()
+        u = exact_div(det, D.f)
     if u is None:
         raise CertificationError(
             "Saito determinant of tangent derivations must be divisible by f"

@@ -293,16 +293,12 @@ class LocalArtinReducer:
     """
 
     def __init__(self, ring, rowbasis, cutoff):
-        rowbasis.pivots = {
-            p: {e: c for e, c in row.items() if sum(e) < cutoff}
-            for p, row in rowbasis.pivots.items()
-            if sum(p) < cutoff
-        }
+        rowbasis.cut(lambda e: sum(e) < cutoff)
         self.ring = ring
         self.cutoff = cutoff
         self.rowbasis = rowbasis
         self.std_mons = sorted(
-            (e for e in monomials_below(ring.n, cutoff) if e not in rowbasis.pivots),
+            (e for e in monomials_below(ring.n, cutoff) if e not in rowbasis.pivot_columns),
             key=engine.std_monomial_key,
         )
 
@@ -340,7 +336,8 @@ def _settle(I):
         for cutoff in range(1 + max(g.total_degree() for g in gens), SETTLE_CAP + 1):
             rb = _build_rowbasis(gens, cutoff, n)
             # the least degree j whose monomials are all pivots: m^j lies in I
-            open_degrees = {sum(e) for e in monomials_below(n, cutoff) if e not in rb.pivots}
+            pivots = rb.pivot_columns
+            open_degrees = {sum(e) for e in monomials_below(n, cutoff) if e not in pivots}
             j = next((j for j in range(cutoff) if j not in open_degrees), None)
             if j is not None:
                 return LocalArtinReducer(I.ring, rb, j)

@@ -83,9 +83,10 @@ def jet_colength(I, cutoff):
     for g in I.gens:
         for m in mons:
             rb.insert({_shift(e, m): c for e, c in g.terms.items() if sum(e) + sum(m) <= cutoff})
+    pivots = rb.pivot_columns
     for k in range(cutoff + 1):
-        if all(mu in rb.pivots for mu in mons if sum(mu) == k):
-            return sum(mu not in rb.pivots for mu in mons if sum(mu) < k)
+        if all(mu in pivots for mu in mons if sum(mu) == k):
+            return sum(mu not in pivots for mu in mons if sum(mu) < k)
     return None
 
 

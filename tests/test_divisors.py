@@ -3,8 +3,12 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from _instances import OverBudget, reduction_budget
 from logderiv import ideals
 from logderiv.divisors import (
+    _singular_locus_check,
+    _squarefree_on_line,
+    _trial_lines,
     DerivationModule,
     DivisorGerm,
     apply_derivation,
@@ -19,6 +23,7 @@ from logderiv.divisors import (
     syzygy_derlog,
     tangency_witness,
 )
+from logderiv.ideals import IdealData
 from logderiv.orders import GLOBAL, LOCAL
 from logderiv.parse import parse_expr
 from logderiv.poly import PolyMatrix, Ring, exact_div
@@ -94,6 +99,106 @@ class TestReducedness:
         D = DivisorGerm(R2, x**2)
         assert not reducedness_check(D).ok
         assert not saito_free_check(D, __import__("logderiv").derlog(D)).ok
+
+
+REDUCED_GERMS = [
+    (("a", "b", "c", "d"), "(a-b)*(a-c)*(a-d)*(b-c)*(b-d)*(c-d)*a*b*c*d"),
+    (("x", "y", "z"), "x*y*z*(x-y)*(x-z)*(y-z)"),
+    (("x", "y", "z"), "x*y*z"),
+    (("a", "b", "c", "d"), "a*b*c*d"),
+    (("x", "y", "z"), "x^2 - y^2*z"),
+    (
+        ("x", "y", "z"),
+        "256*z^3 - 128*x^2*z^2 + 144*x*y^2*z - 27*y^4 + 16*x^4*z - 4*x^3*y^2",
+    ),
+    (("x", "y"), "y*(3*x-y)*(x+y)*(3*x+y) + 5*x^5"),
+]
+
+
+@pytest.fixture
+def counted_basis(monkeypatch):
+    """Counts the standard bases `IdealData.basis_entries` computes."""
+    calls = []
+    basis_entries = IdealData.basis_entries
+
+    def counted(self, order):
+        calls.append(order)
+        return basis_entries(self, order)
+
+    monkeypatch.setattr(IdealData, "basis_entries", counted)
+    return calls
+
+
+class TestReducednessByLine:
+    """The squarefree line certifies reduced germs without a Groebner basis."""
+
+    @pytest.mark.parametrize("names, text", REDUCED_GERMS)
+    def test_reduced_without_a_basis(self, monkeypatch, names, text):
+        def no_basis(self, order):
+            raise AssertionError("Groebner basis computed")
+
+        monkeypatch.setattr(IdealData, "basis_entries", no_basis)
+        v = reducedness_check(_germ(Ring(list(names)), text))
+        assert v.ok
+        assert "squarefree_line" in v.certificate
+
+    def test_non_reduced_falls_back(self, R2, counted_basis):
+        v = reducedness_check(_germ(R2, "x^2*y"))
+        assert len(counted_basis) == 1
+        assert not v.ok
+        assert v.certificate == {"singular_locus_dim": 1}
+        assert v.diagnostics == ["dim V(f, jacobian) = 1; reduced iff <= 0"]
+
+    def test_global_verdict_kept(self, R2):
+        # (y - 1)^2 is a unit at the origin, but reducedness stays global
+        v = reducedness_check(_germ(R2, "x*(y-1)^2"))
+        assert not v.ok
+        assert v.diagnostics == ["dim V(f, jacobian) = 1; reduced iff <= 0"]
+
+    def test_degree_drop_skips_the_line(self, R2):
+        a, b = _trial_lines(2)[0]
+        x, y = R2.gens()
+        # l is constant on the line, so x*l^2 restricts to a squarefree
+        # polynomial of degree 1, not 3
+        l = b[1] * x - b[0] * y
+        assert not _squarefree_on_line(x * l**2, a, b)
+        assert _squarefree_on_line(x * (x + y), a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_line_is_sound(self, data):
+        n = data.draw(st.integers(2, 4))
+        ring = Ring(["x", "y", "z", "w"][:n])
+        homogeneous = data.draw(st.booleans())
+        factors = data.draw(st.lists(_small_factors(ring, homogeneous), min_size=1, max_size=3))
+        exps = data.draw(st.lists(st.integers(1, 2), min_size=len(factors), max_size=len(factors)))
+        f = ring.one()
+        for g, e in zip(factors, exps):
+            f = f * g**e
+        certified = any(_squarefree_on_line(f, a, b) for a, b in _trial_lines(n))
+        if 2 in exps:
+            assert not certified  # a square factor: f is not reduced
+        if certified:
+            try:
+                with reduction_budget():
+                    assert _singular_locus_check(f).ok
+            except OverBudget:
+                assume(False)
+
+
+@st.composite
+def _small_factors(draw, ring, homogeneous):
+    """A nonconstant linear or quadratic polynomial with coefficients in -2..2."""
+    degree = draw(st.integers(1, 2))
+    mons = [e for e in ideals.monomials_below(ring.n, degree + 1) if sum(e) <= degree]
+    if homogeneous:
+        mons = [e for e in mons if sum(e) == degree]
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(mons), max_size=len(mons)))
+    g = ring.zero()
+    for e, c in zip(mons, coeffs):
+        g = g + ring.monomial(e, c)
+    assume(g.total_degree() >= 1)
+    return g
 
 
 class TestSaitoDet:
@@ -184,6 +289,21 @@ class TestGradedDerlog:
         D = _germ(R2, "x^2*y*(x+y)")
         assert graded_derlog(D) is None
         assert _strs(derlog(D).gens) == _strs(syzygy_derlog(D))
+
+    def test_saito_determinant_computed_once(self, R3, monkeypatch):
+        D = _germ(R3, "x*y*z*(x-y)*(x-z)*(y-z)")
+        theta = derlog(D)
+        calls = []
+        det = PolyMatrix.det
+        monkeypatch.setattr(PolyMatrix, "det", lambda self: calls.append(1) or det(self))
+        v = saito_free_check(D, theta)
+        assert v.ok and not calls  # the determinant graded_derlog certified
+        assert v.certificate["determinant"] == det(saito_matrix(v.certificate["basis"], R3))
+        # another basis order computes its own determinant
+        other = DerivationModule(D, theta.gens[::-1], check_tangency=False)
+        w = saito_free_check(D, other)
+        assert len(calls) == 1
+        assert w.certificate["determinant"] == -v.certificate["determinant"]
 
     def test_reducedness_is_computed_once(self, R3):
         D = _germ(R3, "x*y*z*(x-y)*(x-z)*(y-z)")
