@@ -10,7 +10,8 @@ parent first in even pairs and the change first in odd ones, so that a drift
 of the host's speed is shared by both sides.  Every run's last output line
 (the runner's JSON result) is kept.  For each end-to-end metric that
 `BENCHMARK.json` declares, FILE gets the median and the quartiles of each
-side and the number of pairs in which the change was better.  With
+side, the number of pairs in which the change was better, the relative
+change of the median, the metric's bound and a verdict (see `verdict`).  With
 --traced-pairs K, K more pairs run with `--trace 1`, and FILE gets the
 median of each per-layer metric on each side.
 
@@ -81,9 +82,36 @@ def _spread(values):
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
 
 
+def verdict(metric, parent, change, won, pairs):
+    """How one end-to-end metric moved, from each side's values.
+
+    `better`: the change won at least 9 of 10 pairs and the medians differ
+    by more than the parent's interquartile range.  `unresolved`: that range
+    is wider than the bound, relative to the parent's median, and not every
+    change run beats every parent run.  `worse`: the change's median is
+    worse than the parent's by more than the bound.  Otherwise `unchanged`.
+    A side without values leaves the metric unresolved.
+    """
+    if not parent or not change:
+        return None, "unresolved"
+    sign = 1 if metric["better"] == "lower" else -1  # sign * (parent - change) > 0: better
+    p, c = _spread(parent), _spread(change)
+    relative = (c["median"] - p["median"]) / p["median"]
+    iqr = p["q3"] - p["q1"]
+    if pairs and 10 * won >= 9 * pairs and sign * (p["median"] - c["median"]) > iqr:
+        return relative, "better"
+    if iqr > metric["bound"] * p["median"] and not all(
+        sign * (pv - cv) > 0 for pv in parent for cv in change
+    ):
+        return relative, "unresolved"
+    if sign * relative > metric["bound"]:
+        return relative, "worse"
+    return relative, "unchanged"
+
+
 def summarize(runs, metrics, with_wins):
     """Per metric: each side's median and quartiles and, for timed runs, the
-    pairs the change won."""
+    pairs the change won, the relative change, the bound and the verdict."""
     out = {}
     for m in metrics:
         name = m["name"]
@@ -93,8 +121,9 @@ def summarize(runs, metrics, with_wins):
             v = _value(rec, name)
             if v is not None:
                 by_pair.setdefault(rec["pair"], {})[rec["side"]] = v
+        values = {side: [p[side] for p in by_pair.values() if side in p] for side in ("parent", "change")}
         for side in ("parent", "change"):
-            entry[side] = _spread([p[side] for p in by_pair.values() if side in p])
+            entry[side] = _spread(values[side])
         if with_wins:
             both = [p for p in by_pair.values() if len(p) == 2]
             lower = m["better"] == "lower"
@@ -102,6 +131,10 @@ def summarize(runs, metrics, with_wins):
                 (p["change"] < p["parent"]) if lower else (p["change"] > p["parent"]) for p in both
             )
             entry["pairs"] = len(both)
+            entry["relative_change"], entry["verdict"] = verdict(
+                m, values["parent"], values["change"], entry["change_won"], entry["pairs"]
+            )
+            entry["bound"] = m["bound"]
         out[name] = entry
     return out
 
@@ -158,6 +191,9 @@ def main(argv=None):
             "end_to_end": summarize(runs, bench["end_to_end"], with_wins=True),
             "runs": runs,
         }
+        for name, m in entry["end_to_end"].items():
+            moved = "" if m["relative_change"] is None else f", median {m['relative_change']:+.1%}"
+            print(f"{workload} {name}: {m['verdict']}{moved}", file=sys.stderr)
         if args.traced_pairs:
             traced = run_pairs(roots, workload, args.seed, args.traced_pairs, trace=True)
             entry["per_layer"] = summarize(traced, bench["per_layer"], with_wins=False)

@@ -206,16 +206,7 @@ def ideal_quotient(I, J, order):
         raise ZeroIdealQuotientError("quotient by the zero ideal is the whole ring")
     red = None if order.is_global else artin_reducer(I)
     if red is not None:
-        if any(g.constant_term() for g in J.gens):
-            return I
-        mons = red.std_mons
-        rows = {}  # (generator, output monomial) -> row over the input monomials
-        for k, g in enumerate(J.gens):
-            for s in mons:
-                for t, c in red.reduce_terms(_shifted(g.terms, s, red.cutoff)).items():
-                    rows.setdefault((k, t), {})[s] = c
-        kernel = nullspace(list(rows.values()), mons, LOCAL.key)
-        return IdealData(I.ring, list(I.gens) + [Polynomial(I.ring, v, _clean=True) for v in kernel])
+        return IdealData(I.ring, list(I.gens) + red.kernel(J.gens))
     result = None
     for g in J.gens:
         q = _colon_single(I, g)
@@ -309,6 +300,20 @@ class LocalArtinReducer:
 
     def reduce(self, p):
         return Polynomial(self.ring, self.reduce_terms(p.terms), _clean=True)
+
+    def multiples(self, g):
+        """The residue of x^s * g for each standard monomial s, in order."""
+        return [self.reduce_terms(_shifted(g.terms, s, self.cutoff)) for s in self.std_mons]
+
+    def kernel(self, gens):
+        """A basis of the common kernel of multiplication by gens on O/I."""
+        rows = {}  # (generator, output monomial) -> row over the input monomials
+        for k, g in enumerate(gens):
+            for s, residue in zip(self.std_mons, self.multiples(g)):
+                for t, c in residue.items():
+                    rows.setdefault((k, t), {})[s] = c
+        kernel = nullspace(list(rows.values()), self.std_mons, LOCAL.key)
+        return [Polynomial(self.ring, v, _clean=True) for v in kernel]
 
 
 def _shifted(terms, shift, cutoff):

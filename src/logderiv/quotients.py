@@ -3,15 +3,16 @@
 The quotient O/I (I of finite colength, locally at the origin) is handled as
 a concrete finite-dimensional vector space on the standard monomials, with
 canonical coset representatives from the exact linear reduction in
-`ideals.LocalArtinReducer`.  Annihilators are kernels of multiplication maps
-on that basis (`ideals.ideal_quotient`); the socle basis is in reduced row
-echelon form.  Equality of coset ideals is decided at the ideal level
-(I + lifts), never by comparing representatives.
+`ideals.LocalArtinReducer`.  An ideal of O/I is a subspace of it: the
+image of multiplication by its representatives on that basis, whose kernel
+is their annihilator.  Membership and equality of ideals of O/I compare
+these subspaces in reduced row echelon form, never lifting to O.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from logderiv import ideals
 from logderiv.divisors import (
@@ -22,7 +23,7 @@ from logderiv.divisors import (
     saito_matrix,
 )
 from logderiv.exactla import RowBasis
-from logderiv.ideals import IdealData, ZeroIdealQuotientError
+from logderiv.ideals import IdealData
 from logderiv.orders import LOCAL
 from logderiv.poly import hessian_det, jacobian_gens
 
@@ -58,7 +59,7 @@ class QuotientAlgebra:
 
 @dataclass
 class CosetIdeal:
-    """An ideal of a QuotientAlgebra given by reduced coset representatives."""
+    """The ideal of a QuotientAlgebra generated by reduced coset representatives."""
 
     algebra: QuotientAlgebra
     reps: list
@@ -77,16 +78,20 @@ class CosetIdeal:
                 out.append(r)
         return out
 
-    def contains(self, p):
-        return ideals.ideal_membership(
-            p, self._lifted_ideal(), LOCAL
-        )
+    @cached_property
+    def _span(self):
+        rb = RowBasis(LOCAL.key)
+        for r in self.reps:
+            rb.extend(self.algebra._red.multiples(r))
+        return rb
 
-    def _lifted_ideal(self):
-        return IdealData(self.algebra.ring, list(self.algebra.ideal.gens) + self.reps)
+    def contains(self, p):
+        return self._span.contains(self.algebra.reduce(p).terms)
 
     def equals(self, other):
-        return ideals.ideal_equal(self._lifted_ideal(), other._lifted_ideal(), LOCAL)
+        """Equal subspaces of the same algebra: the RREF is unique."""
+        a, b = self._span, other._span
+        return a.pivot_columns == b.pivot_columns and all(a.row(c) == b.row(c) for c in a.pivot_columns)
 
     def is_whole_algebra(self):
         return any(r.constant_term() for r in self.reps)
@@ -104,22 +109,12 @@ def annihilator(A, J):
     The annihilator of the zero ideal is all of A, signalled by the coset
     ideal generated by 1.
     """
-    try:
-        Q = ideals.ideal_quotient(A.ideal, J, LOCAL)
-    except ZeroIdealQuotientError:
-        return CosetIdeal(A, [A.ring.one()])
-    reps = []
-    for g in Q.gens:
-        r = A.reduce(g)
-        if not r.is_zero():
-            reps.append(r)
-    return CosetIdeal(A, reps)
+    return CosetIdeal(A, [A.ring.one()] if J.is_zero() else A._red.kernel(J.gens))
 
 
 def socle(A):
     """Ann_A(maximal ideal), as a basis of reduced coset representatives."""
-    ann = annihilator(A, ideals.maximal_ideal(A.ring))
-    return CosetIdeal(A, ann.vector_basis())
+    return annihilator(A, ideals.maximal_ideal(A.ring))
 
 
 def ci_check(I):
@@ -187,12 +182,10 @@ def wiebe_check(gamma, F, delta, derivs=None):
                 diagnostics=["delta is not the determinant of the given transition"],
             )
     A = QuotientAlgebra(IF)
-    ann_J = annihilator(A, J)
-    ann_delta = annihilator(A, IdealData(ring, [delta]))
-    delta_ideal = CosetIdeal(A, [A.reduce(delta)] if not A.reduce(delta).is_zero() else [])
-    J_ideal = CosetIdeal(A, [r for r in (A.reduce(g) for g in J.gens) if not r.is_zero()])
-    first = delta_ideal.equals(ann_J)
-    second = J_ideal.equals(ann_delta)
+    delta_ideal = CosetIdeal(A, [A.reduce(delta)])
+    J_ideal = CosetIdeal(A, [A.reduce(g) for g in J.gens])
+    first = delta_ideal.equals(annihilator(A, J))
+    second = J_ideal.equals(annihilator(A, IdealData(ring, [delta])))
     return Verdict(
         first and second,
         certificate={"delta_generates_ann_J": first, "J_is_ann_delta": second},
@@ -206,14 +199,16 @@ def wiebe_check(gamma, F, delta, derivs=None):
 def theorem_b_check(D, theta, gamma):
     """Freeness via the Artin quotient: free iff f * J_gamma lies in Theta(gamma).
 
-    Preconditions are reported individually: gamma must have no terms of
-    degree < 2, an isolated critical point, and Theta(gamma) must be an
-    Artinian complete intersection.  On a free verdict the certificate holds
-    preimages in Theta of a minimal (regular) sequence generating
-    Theta(gamma), plus the cross-check against Saito's criterion.
+    Preconditions are reported individually: f must be reduced, gamma must
+    have no terms of degree < 2 and an isolated critical point, Theta(gamma)
+    must be an Artinian complete intersection, and gamma must be generic:
+    membership that Saito's criterion contradicts is no free verdict.  On a
+    free verdict the certificate holds preimages in Theta of a minimal
+    (regular) sequence generating Theta(gamma), and Saito agrees.
     """
     ring = gamma.ring
-    failures = []
+    reduced = D.reducedness()
+    failures = [] if reduced.ok else ["divisor is not reduced: " + "; ".join(reduced.diagnostics)]
     if any(sum(m) < 2 for m in gamma.terms):
         failures.append("gamma has terms of degree < 2")
     J = IdealData(ring, jacobian_gens(gamma))
@@ -244,6 +239,10 @@ def theorem_b_check(D, theta, gamma):
 
     saito = saito_free_check(D, derlog(D) if not theta.is_full_derlog else theta)
     agreement = saito.ok == free
+    if free and not agreement:
+        failures = ["gamma is not generic: f * J_gamma lies in Theta(gamma), but Saito says not free"]
+        cert = {"precondition_failures": failures, "memberships": memberships, "saito_agrees": False}
+        return Verdict(False, certificate=cert, diagnostics=failures)
 
     return Verdict(
         free,
@@ -281,10 +280,7 @@ def hessian_socle_check(D, gamma, A, delta):
         IdealData(ring, [delta]), IdealData(ring, [f]), LOCAL
     )
     h = hessian_det(gamma)
-    fh = f * h
-    dh = delta * h
-    gens = ([dh] if not dh.is_zero() else []) + list(A.ideal.gens)
-    side_ii = ideals.ideal_membership(fh, IdealData(ring, gens), LOCAL)
+    side_ii = CosetIdeal(A, [A.reduce(delta * h)]).contains(f * h)
     return Verdict(
         side_i == side_ii,
         certificate={"saito_ideal_equality": side_i, "hessian_in_socle": side_ii},

@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logderiv import cli, divisors
+from logderiv import cli, divisors, quotients
 from logderiv.cli import main, to_jsonable
 from logderiv.parse import ParseError, parse_expr, parse_input
 from logderiv.poly import CertificationError, Polynomial, Ring, exact_div
@@ -265,6 +265,42 @@ class TestCLI:
         assert [divisors.apply_derivation(d, gamma) for d in basis] == [2 * x**2, 2 * y**2, 2 * z**2]
         u = exact_div(divisors.saito_matrix(basis, R3).det(), f)
         assert u is not None and u.constant_term() != 0
+
+    @pytest.mark.parametrize(
+        "text",
+        ["ring: x, y\nf: x^2*y\ngamma: x^2+y^2\n", "ring: x\nf: x^2\ngamma: x^2\n"],
+        ids=["x^2*y", "x^2"],
+    )
+    def test_theorem_b_needs_a_reduced_divisor(self, problem, capsys, text):
+        # f * J_gamma lies in Theta(gamma) here, but f is not reduced: the
+        # same file that `free` calls not free is no free verdict
+        path = problem(text)
+        assert main(["free", path]) == 1
+        capsys.readouterr()
+        assert main(["theorem-b", path, "--json"]) == 2
+        rep = json.loads(capsys.readouterr().out)
+        jsonschema.validate(rep, SCHEMA)
+        assert rep["verdict"] is False
+        [failure] = rep["certificate"]["precondition_failures"]
+        assert failure.startswith("divisor is not reduced: dim V(f, jacobian) = ")
+        assert rep["diagnostics"] == [failure]
+
+    def test_theorem_b_against_saito_is_not_generic(self, problem, capsys, monkeypatch):
+        # membership that Saito's criterion contradicts shows a gamma that is
+        # not generic: a failed precondition that keeps both findings
+        monkeypatch.setattr(quotients, "saito_free_check", lambda D, theta: divisors.Verdict(False))
+        path = problem("ring: x, y\nf: x*y*(x+y)\ngamma: x^2 + y^2\n")
+        assert main(["theorem-b", path, "--json"]) == 2
+        rep = json.loads(capsys.readouterr().out)
+        jsonschema.validate(rep, SCHEMA)
+        assert rep["verdict"] is False
+        assert rep["certificate"] == {
+            "precondition_failures": [
+                "gamma is not generic: f * J_gamma lies in Theta(gamma), but Saito says not free"
+            ],
+            "memberships": [True, True],
+            "saito_agrees": False,
+        }
 
     def test_subprocess_determinism(self, problem):
         whit = problem(WHITNEY)

@@ -1,13 +1,17 @@
 """Artin quotient algebras, socles, Wiebe duality, and the freeness checks."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from _instances import random_wiebe_instance
 from logderiv import ideals
+from logderiv.exactla import RowBasis
 from logderiv.divisors import DivisorGerm, apply_derivs, derlog, saito_matrix
 from logderiv.ideals import IdealData
+from logderiv.orders import LOCAL
 from logderiv.poly import Ring
 from logderiv.quotients import (
     CosetIdeal,
@@ -61,6 +65,63 @@ class TestAnnihilatorSocle:
         A = quotient(IdealData(R, [X**2, Y**2]))
         ann = annihilator(A, IdealData(R, [X**2]))
         assert ann.is_whole_algebra() or ann.contains(R.one())
+
+
+def _random_poly(rng, ring, low=0):
+    """Up to three terms of degree `low` to 2."""
+    p = ring.zero()
+    for _ in range(rng.randint(1, 3)):
+        mono = ring.one()
+        for _ in range(rng.randint(low, 2)):
+            mono = mono * rng.choice(ring.gens())
+        p = p + rng.choice([1, -1, 2, Fraction(1, 2)]) * mono
+    return p
+
+
+class TestSubspaceAgainstLift:
+    """An ideal of A = O/I as a subspace of A against the ideal I + reps of O
+    that it stands for, decided by the lift as the reference."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_membership_and_equality(self, seed):
+        rng = random.Random(seed)
+        gamma, F, _ = random_wiebe_instance(rng)
+        R, I = gamma.ring, IdealData(gamma.ring, F)
+        A = quotient(I)
+
+        def lift(C):
+            return IdealData(R, list(I.gens) + C.reps)
+
+        reps = [A.reduce(_random_poly(rng, R, low=1)) for _ in range(rng.randint(1, 2))]
+        C = CosetIdeal(A, reps)
+        members = [_random_poly(rng, R) * r + F[0] for r in reps]
+        for p in members + [_random_poly(rng, R) for _ in range(4)]:
+            assert C.contains(p) == ideals.ideal_membership(p, lift(C), LOCAL)
+        assert all(C.contains(p) for p in members)
+        # the same ideal from other reps, and a random one
+        same = CosetIdeal(A, [A.reduce((3 + _random_poly(rng, R) * R.gens()[0]) * r) for r in reps])
+        other = CosetIdeal(A, [A.reduce(_random_poly(rng, R, low=1))])
+        for D in (same, other):
+            assert C.equals(D) == D.equals(C) == ideals.ideal_equal(lift(C), lift(D), LOCAL)
+        assert C.equals(same)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_annihilator_is_the_kernel(self, seed):
+        rng = random.Random(seed)
+        gamma, F, _ = random_wiebe_instance(rng)
+        R = gamma.ring
+        A = quotient(IdealData(R, F))
+        J = IdealData(R, [_random_poly(rng, R, low=1) for _ in range(rng.randint(1, 2))])
+        assume(not J.is_zero())
+        ann = annihilator(A, J)
+        assert all(A.reduce(a * g).is_zero() for a in ann.reps for g in J.gens)
+        # the rank of a -> (a * g for g in J) on the standard monomials
+        image = RowBasis(lambda col: (col[0], LOCAL.key(col[1])))
+        for s in A.std_monomial_polys():
+            image.insert({(k, t): c for k, g in enumerate(J.gens) for t, c in A.reduce(s * g).terms.items()})
+        assert len(ann.vector_basis()) == len(ann.reps) == A.dim - image.rank
 
 
 class TestCI:

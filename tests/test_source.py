@@ -70,3 +70,27 @@ def test_jet_oracle_apart_from_the_checked_path():
         for scope, line in _references(node, name)
     ]
     assert not found, f"the jet oracle names the path it checks: {found}"
+
+
+def test_ideals_of_the_artin_algebra_are_subspaces():
+    # an ideal of A = O/I is a subspace of A: coset ideals, annihilators and
+    # the socle never rebuild an ideal of O from I and representatives, nor
+    # read I's generators; the checks built on them ask no lifted question
+    lift = {"IdealData", "ideal_membership", "ideal_equal", "ideal_quotient", "artin_reducer"}
+    banned = {
+        "CosetIdeal": lift | {"ideal"},
+        "annihilator": lift | {"ideal"},
+        "socle": lift | {"ideal"},
+        "wiebe_check": {"ideal_membership", "ideal_equal", "ideal_quotient"},
+        "hessian_socle_check": {"ideal_membership", "ideal_quotient"},
+    }
+    tree = ast.parse((SRC / "quotients.py").read_text(encoding="utf-8"))
+    checked = [node for node in tree.body if getattr(node, "name", None) in banned]
+    assert len(checked) == len(banned)
+    found = [
+        f"quotients.py:{line} in {scope or node.name}: {name}"
+        for node in checked
+        for name in sorted(banned[node.name])
+        for scope, line in _references(node, name)
+    ]
+    assert not found, f"an ideal of the Artin algebra is lifted to O: {found}"
